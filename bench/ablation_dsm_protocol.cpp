@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "os/coherence/protocol.h"
-#include "os/ndsm.h"
+#include "os/dsm.h"
 #include "workloads/report.h"
 #include "workloads/sweep.h"
 #include "workloads/warm.h"
@@ -39,13 +39,13 @@ using kern::Thread;
 using kern::ThreadKind;
 using sim::Task;
 
-/** An N-domain SoC + kernels + NDsm under one protocol. */
+/** An N-domain SoC + kernels + Dsm under one protocol. */
 struct Fixture
 {
     sim::Engine eng;
     std::unique_ptr<soc::Soc> soc;
     std::vector<std::unique_ptr<kern::Kernel>> kernels;
-    std::unique_ptr<os::NDsm> ndsm;
+    std::unique_ptr<os::Dsm> dsm;
     std::unique_ptr<kern::Process> proc;
 
     Fixture(std::size_t domains, os::coherence::ProtocolKind proto)
@@ -69,11 +69,11 @@ struct Fixture
             kernels.back()->boot();
             raw.push_back(kernels.back().get());
         }
-        ndsm = std::make_unique<os::NDsm>(*soc, raw, 4096, proto);
+        dsm = std::make_unique<os::Dsm>(*soc, raw, 4096, proto);
         for (std::size_t i = 0; i < kernels.size(); ++i) {
             kernels[i]->setMailHandler(
                 [this, i](soc::Mail m, soc::Core &c) {
-                    return ndsm->handleMail(i, m, c);
+                    return dsm->handleMail(i, m, c);
                 });
         }
         proc = std::make_unique<kern::Process>(1, "bench");
@@ -88,7 +88,7 @@ struct Fixture
         soc->snapState(io);
         for (auto &k : kernels)
             k->snapState(io);
-        ndsm->snapState(io);
+        dsm->snapState(io);
         proc->snapState(io);
     }
 
@@ -98,7 +98,7 @@ struct Fixture
         kernels[k]->spawnThread(
             proc.get(), "t", ThreadKind::Normal,
             [this, k, page, rw](Thread &t) -> Task<void> {
-                co_await ndsm->access(t.kernel(), t.core(), page, rw);
+                co_await dsm->access(t.kernel(), t.core(), page, rw);
             });
         eng.run();
     }
@@ -208,7 +208,7 @@ runCell(wl::SweepMode sweep, os::coherence::ProtocolKind proto,
             return std::make_unique<Fixture>(domains, proto);
         });
 
-    const std::uint64_t msgs0 = fx.ndsm->messagesSent();
+    const std::uint64_t msgs0 = fx.dsm->messagesSent();
     const soc::EnergyMeter::Snapshot e0 = fx.soc->meter().snapshot();
     for (const Step &st : pattern.steps(domains))
         fx.touch(st.kernel, st.page, st.rw);
@@ -217,10 +217,10 @@ runCell(wl::SweepMode sweep, os::coherence::ProtocolKind proto,
     double total = 0, entry = 0, proto_t = 0, comm = 0, service = 0,
            exit_t = 0;
     for (std::size_t k = 0; k < domains; ++k) {
-        const os::NDsm::Stats &st = fx.ndsm->kernelStats(k);
+        const os::Dsm::FaultStats &st = fx.dsm->faultStats(k);
         out.faults += st.faults.value();
         total += st.totalUs.sum();
-        entry += st.entryUs.sum();
+        entry += st.localFaultUs.sum();
         proto_t += st.protocolUs.sum();
         comm += st.commUs.sum();
         service += st.serviceUs.sum();
@@ -235,7 +235,7 @@ runCell(wl::SweepMode sweep, os::coherence::ProtocolKind proto,
         out.service_us = service / f;
         out.exit_us = exit_t / f;
         out.msgs_per_fault =
-            static_cast<double>(fx.ndsm->messagesSent() - msgs0) / f;
+            static_cast<double>(fx.dsm->messagesSent() - msgs0) / f;
     }
 }
 

@@ -14,7 +14,7 @@
 #include <string>
 
 #include "os/coherence/protocol.h"
-#include "os/ndsm.h"
+#include "os/dsm.h"
 #include "workloads/report.h"
 #include "workloads/sweep.h"
 #include "workloads/warm.h"
@@ -31,10 +31,10 @@ struct Fixture
     sim::Engine eng;
     std::unique_ptr<soc::Soc> soc;
     std::vector<std::unique_ptr<kern::Kernel>> kernels;
-    std::unique_ptr<os::NDsm> ndsm;
+    std::unique_ptr<os::Dsm> dsm;
     std::unique_ptr<kern::Process> proc;
 
-    Fixture(std::size_t domains, os::coherence::ProtocolKind dsm)
+    Fixture(std::size_t domains, os::coherence::ProtocolKind proto)
     {
         auto cfg = (domains == 3) ? soc::threeDomainConfig()
                                   : soc::omap4Config();
@@ -47,11 +47,11 @@ struct Fixture
             kernels.back()->boot();
             raw.push_back(kernels.back().get());
         }
-        ndsm = std::make_unique<os::NDsm>(*soc, raw, 4096, dsm);
+        dsm = std::make_unique<os::Dsm>(*soc, raw, 4096, proto);
         for (std::size_t i = 0; i < kernels.size(); ++i) {
             kernels[i]->setMailHandler(
                 [this, i](soc::Mail m, soc::Core &c) {
-                    return ndsm->handleMail(i, m, c);
+                    return dsm->handleMail(i, m, c);
                 });
         }
         proc = std::make_unique<kern::Process>(1, "bench");
@@ -66,7 +66,7 @@ struct Fixture
         soc->snapState(io);
         for (auto &k : kernels)
             k->snapState(io);
-        ndsm->snapState(io);
+        dsm->snapState(io);
         proc->snapState(io);
     }
 
@@ -76,8 +76,8 @@ struct Fixture
         kernels[k]->spawnThread(
             proc.get(), "t", ThreadKind::Normal,
             [this, k, page](Thread &t) -> Task<void> {
-                co_await ndsm->access(t.kernel(), t.core(), page,
-                                      os::Access::Write);
+                co_await dsm->access(t.kernel(), t.core(), page,
+                                     os::Access::Write);
             });
         eng.run();
     }
@@ -128,11 +128,11 @@ main(int argc, char **argv)
                 fx.touch(static_cast<std::size_t>(r) % n, 7);
             std::uint64_t total_faults = 0;
             for (std::size_t k = 0; k < n; ++k)
-                total_faults += fx.ndsm->faults(k);
+                total_faults += fx.dsm->faultStats(k).faults.value();
 
             rows[i] = Row{
-                fx.ndsm->meanFaultUs(1),
-                static_cast<double>(fx.ndsm->messagesSent()) /
+                fx.dsm->faultStats(1).totalUs.mean(),
+                static_cast<double>(fx.dsm->messagesSent()) /
                     static_cast<double>(total_faults)};
         });
     }

@@ -5,7 +5,7 @@
  * N-domain DSM.
  *
  * A continuous-sensing loop runs on each domain in turn, periodically
- * appending readings to a shared in-kernel log whose pages the NDsm
+ * appending readings to a shared in-kernel log whose pages the DSM
  * migrates to whichever domain is active. The example compares the
  * energy of hosting the sensing loop on each domain -- the reason a
  * hub domain exists at all.
@@ -15,7 +15,7 @@
 #include <memory>
 #include <vector>
 
-#include "os/ndsm.h"
+#include "os/dsm.h"
 #include "workloads/report.h"
 
 namespace {
@@ -30,7 +30,7 @@ struct System
     sim::Engine eng;
     std::unique_ptr<soc::Soc> soc;
     std::vector<std::unique_ptr<kern::Kernel>> kernels;
-    std::unique_ptr<os::NDsm> ndsm;
+    std::unique_ptr<os::Dsm> dsm;
     std::unique_ptr<kern::Process> proc;
 
     System()
@@ -44,11 +44,11 @@ struct System
             kernels.back()->boot();
             raw.push_back(kernels.back().get());
         }
-        ndsm = std::make_unique<os::NDsm>(*soc, raw, 1024);
+        dsm = std::make_unique<os::Dsm>(*soc, raw, 1024);
         for (std::size_t i = 0; i < 3; ++i) {
             kernels[i]->setMailHandler(
                 [this, i](soc::Mail m, soc::Core &c) {
-                    return ndsm->handleMail(i, m, c);
+                    return dsm->handleMail(i, m, c);
                 });
         }
         proc = std::make_unique<kern::Process>(1, "sensing");
@@ -67,11 +67,11 @@ senseOn(System &sys, std::size_t k, int samples)
         [&sys, k, samples](Thread &t) -> Task<void> {
             for (int i = 0; i < samples; ++i) {
                 // Read the sensor FIFO, filter, append to the shared
-                // log page (kept coherent by the NDsm).
+                // log page (kept coherent by the DSM).
                 co_await t.exec(4000);
-                co_await sys.ndsm->access(t.kernel(), t.core(),
-                                          /*page=*/3,
-                                          os::Access::Write);
+                co_await sys.dsm->access(t.kernel(), t.core(),
+                                         /*page=*/3,
+                                         os::Access::Write);
                 co_await t.exec(1500);
                 co_await t.sleep(sim::msec(100));
             }
@@ -109,11 +109,11 @@ main()
     table.print();
 
     std::printf("\nlog-page owner after the run: kernel '%s'\n",
-                sys.kernels[sys.ndsm->ownerOf(3)]->name().c_str());
+                sys.kernels[sys.dsm->ownerOf(3)]->name().c_str());
     std::printf("coherence messages: %llu; the same sensing code ran "
                 "unmodified on all three domains against one shared "
                 "log.\n",
                 static_cast<unsigned long long>(
-                    sys.ndsm->messagesSent()));
+                    sys.dsm->messagesSent()));
     return 0;
 }

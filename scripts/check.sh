@@ -76,9 +76,9 @@ if [ "$MODE" = "--tsan" ]; then
     "$BUILD_DIR"/src/workloads/testbed --episodes=3 --runs=4 --jobs=13 \
         --replicas=3 --faults="domain.crash:at=5ms:dom=1:len=2ms" \
         >/dev/null
-    # The directory coherence protocols add invalidation fan-out and
-    # third-party forwards to the sweep cells; race-check one under an
-    # adversarial thread count.
+    # The read-sharing coherence protocols add per-holder invalidation
+    # fan-out and dirty forwards to the sweep cells; race-check one
+    # under an adversarial thread count.
     "$BUILD_DIR"/bench/fig6b_ext2_energy --dsm=mesi --jobs=13 >/dev/null
     # Warm (boot-once snapshot/fork) vs cold sweeps must emit
     # byte-identical artifacts even at an adversarial thread count.

@@ -1,9 +1,5 @@
 #include "os/coherence/directory.h"
 
-#include <algorithm>
-
-#include "obs/metrics.h"
-#include "sim/log.h"
 #include "snap/io.h"
 
 namespace k2 {
@@ -14,159 +10,121 @@ Directory::Directory(ProtocolKind kind, std::size_t num_kernels,
                      std::uint64_t num_pages)
     : kind_(kind), n_(num_kernels), numPages_(num_pages)
 {
-    K2_ASSERT(kind == ProtocolKind::ThreeState ||
-              kind == ProtocolKind::Mesi || kind == ProtocolKind::Moesi);
+    K2_ASSERT(kind != ProtocolKind::Rac);
     K2_ASSERT(n_ >= 2 && n_ <= 32);
-    K2_ASSERT(numPages_ <= kOpMaxPages);
+}
+
+Copy
+Directory::born(std::size_t k) const
+{
+    if (k != 0)
+        return Copy::I;
+    const bool clean_exclusive =
+        kind_ == ProtocolKind::Mesi || kind_ == ProtocolKind::Moesi;
+    return clean_exclusive ? Copy::E : Copy::M;
 }
 
 Directory::Entry &
 Directory::entry(std::uint64_t page)
 {
     K2_ASSERT(page < numPages_);
-    return entries_[page];
+    auto it = entries_.find(page);
+    if (it == entries_.end()) {
+        Entry e(n_);
+        for (std::size_t k = 0; k < n_; ++k)
+            e[k] = born(k);
+        it = entries_.emplace(page, std::move(e)).first;
+    }
+    return it->second;
+}
+
+Copy
+Directory::state(std::size_t k, std::uint64_t page) const
+{
+    auto it = entries_.find(page);
+    return it == entries_.end() ? born(k) : it->second[k];
 }
 
 std::size_t
 Directory::ownerOf(std::uint64_t page) const
 {
     auto it = entries_.find(page);
-    return it == entries_.end() ? 0 : it->second.owner;
-}
-
-bool
-Directory::readValid(std::size_t k, std::uint64_t page) const
-{
-    auto it = entries_.find(page);
-    const std::uint32_t sharers =
-        it == entries_.end() ? 1u : it->second.sharers;
-    return (sharers & bit(k)) != 0;
-}
-
-bool
-Directory::writeValid(std::size_t k, std::uint64_t page)
-{
-    Entry &e = entry(page);
-    if (e.owner != k || e.sharers != bit(k))
-        return false;
-    if (e.dirty)
-        return true;
-    // Sole clean owner: MESI/MOESI upgrade E->M silently; MSI has no
-    // E state, so even the last holder standing pays a GetX.
-    if (kind_ == ProtocolKind::ThreeState)
-        return false;
-    e.dirty = true;
-    return true;
-}
-
-void
-Directory::finishWrite(Entry &e, std::size_t req)
-{
-    e.owner = static_cast<std::uint32_t>(req);
-    e.sharers = bit(req);
-    e.dirty = true;
-    e.reqActive = false;
-    e.ackWait = 0;
-}
-
-std::vector<std::uint64_t>
-Directory::reclaim(std::size_t dead, std::size_t to,
-                   std::vector<std::uint64_t> &completed)
-{
-    // Ascending page order for deterministic recovery.
-    std::vector<std::uint64_t> keys;
-    keys.reserve(entries_.size());
-    for (const auto &kv : entries_)
-        keys.push_back(kv.first);
-    std::sort(keys.begin(), keys.end());
-
-    std::vector<std::uint64_t> moved;
-    for (std::uint64_t page : keys) {
-        Entry &e = entries_.at(page);
-        e.sharers &= ~bit(dead);
-        if (e.owner == dead) {
-            // The dirty copy (if any) died with the domain; the
-            // inheritor re-syncs data out of band and owns it clean.
-            e.owner = static_cast<std::uint32_t>(to);
-            e.sharers |= bit(to);
-            e.dirty = false;
-            moved.push_back(page);
-        }
-        if (e.reqActive && e.requester == dead) {
-            // The faulter is gone; cancel its transaction.
-            e.reqActive = false;
-            e.ackWait = 0;
-            continue;
-        }
-        if ((e.ackWait & bit(dead)) != 0) {
-            e.ackWait &= ~bit(dead);
-            if (e.reqActive && e.reqWrite && e.ackWait == 0) {
-                finishWrite(e, e.requester);
-                completed.push_back(page);
-            }
-        }
-        if (e.reqActive && !e.reqWrite && e.owner == to &&
-            !moved.empty() && moved.back() == page) {
-            // A read stalled on the dead dirty owner: the inheritor's
-            // clean copy satisfies it.
-            e.sharers |= bit(e.requester);
-            e.reqActive = false;
-            completed.push_back(page);
-        }
+    if (it == entries_.end())
+        return 0;
+    const Entry &e = it->second;
+    for (std::size_t k = 0; k < n_; ++k) {
+        if (e[k] == Copy::M || e[k] == Copy::E || e[k] == Copy::O)
+            return k;
     }
-    return moved;
+    for (std::size_t k = 0; k < n_; ++k) {
+        if (e[k] != Copy::I)
+            return k;
+    }
+    return 0;
 }
 
-void
-Directory::registerMetrics(obs::MetricsRegistry &reg,
-                           const std::string &prefix) const
+std::uint32_t
+Directory::targets(const Entry &e, std::size_t k, bool exclusive) const
 {
-    const std::string pp =
-        prefix + "." + protocolName(kind_);
-    reg.addCounter(pp + ".invalidations", invalidations_);
-    reg.addCounter(pp + ".forwards", forwards_);
-    reg.addCounter(pp + ".writebacks", writebacks_);
+    std::uint32_t holders = 0;
+    for (std::size_t j = 0; j < n_; ++j) {
+        if (j != k && e[j] != Copy::I)
+            holders |= bit(j);
+    }
+    if (holders != 0) {
+        if (exclusive)
+            return holders;
+        for (std::size_t j = 0; j < n_; ++j) {
+            if ((holders & bit(j)) != 0 &&
+                (e[j] == Copy::M || e[j] == Copy::E || e[j] == Copy::O))
+                return bit(j);
+        }
+        return holders & (~holders + 1); // Lowest-index sharer.
+    }
+    return bit(k == 0 ? 1 : 0);
+}
+
+RepOp
+Directory::downgrade(Entry &e, std::size_t t) const
+{
+    const Copy s = e[t];
+    if (s == Copy::M)
+        e[t] = kind_ == ProtocolKind::Moesi ? Copy::O : Copy::S;
+    else if (s == Copy::E)
+        e[t] = Copy::S;
+    return (s == Copy::I && kind_ != ProtocolKind::ThreeState)
+        ? RepOp::GrantE
+        : RepOp::GrantS;
+}
+
+bool
+Directory::reclaim(Entry &e, std::size_t dead, std::size_t to,
+                   bool elsewhere) const
+{
+    if (elsewhere) {
+        const bool changed = e[dead] != Copy::I;
+        e[dead] = Copy::I;
+        return changed;
+    }
+    // The dirty copy (if any) died with the domain; the replica layer
+    // re-syncs content, so only a Modified survivor stays dirty.
+    const bool clean_exclusive =
+        kind_ == ProtocolKind::Mesi || kind_ == ProtocolKind::Moesi;
+    const Copy ns =
+        (clean_exclusive && e[to] != Copy::M) ? Copy::E : Copy::M;
+    const bool changed = e[to] != ns || e[dead] != Copy::I;
+    e[to] = ns;
+    e[dead] = Copy::I;
+    return changed;
 }
 
 void
 Directory::snapState(snap::Io &io)
 {
-    io.pod(invalidations_);
-    io.pod(forwards_);
-    io.pod(writebacks_);
-    std::vector<std::uint64_t> keys;
-    keys.reserve(entries_.size());
-    for (const auto &kv : entries_)
-        keys.push_back(kv.first);
-    std::sort(keys.begin(), keys.end());
-    std::uint64_t n = io.count(keys.size());
-    if (io.restoring()) {
-        std::vector<std::uint64_t> snapKeys(
-            static_cast<std::size_t>(n));
-        for (auto &k : snapKeys)
-            io.pod(k);
-        for (std::uint64_t k : keys) {
-            if (!std::binary_search(snapKeys.begin(), snapKeys.end(),
-                                    k))
-                entries_.erase(k);
-        }
-        keys = std::move(snapKeys);
-    } else {
-        for (std::uint64_t k : keys) {
-            std::uint64_t v = k;
-            io.pod(v);
-        }
-    }
-    for (std::uint64_t k : keys) {
-        Entry &e = entries_[k]; // Created if dropped before capture.
-        io.pod(e.owner);
-        io.pod(e.sharers);
-        io.pod(e.dirty);
-        io.pod(e.reqActive);
-        io.pod(e.reqWrite);
-        io.pod(e.requester);
-        io.pod(e.ackWait);
-        io.pod(e.serviceStart);
+    for (std::uint64_t page : io.keys(entries_)) {
+        Entry &e = entry(page);
+        for (Copy &c : e)
+            io.pod(c);
     }
 }
 

@@ -1,22 +1,19 @@
 /**
  * @file
- * The N-domain page directory (home-based MSI / MESI / MOESI).
+ * The per-page copy directory of the invalidation protocols (two-state,
+ * MSI, MESI, MOESI).
  *
- * One kernel -- the *home*, index 0 on the strong domain, where the
- * directory memory lives -- tracks, per page, the owner, a sharer
- * bitmap and a dirty bit, and serialises transactions: a requester
- * sends GetS/GetX to the home; the home grants directly, forwards a
- * read to the dirty owner (3-hop: the owner grants straight to the
- * requester), or fans out invalidations to every sharer and collects
- * InvAcks before granting exclusivity.
+ * Every kernel's copy of a page is in one MOESI state; each protocol
+ * uses a subset. The paper's two-state scheme knows only M (its
+ * "Valid") and I, MSI adds read-shared S, MESI adds clean-exclusive E
+ * (a write through E upgrades silently, no messages), and MOESI adds
+ * owned-dirty O (a read of a Modified page leaves the holder O and
+ * forwards the data cache-to-cache instead of writing it back).
  *
  * Directory is the pure state table plus the transition rules; timing,
- * mail and task structure stay with os::NDsm. The E and O refinements
- * are encoded rather than stored: E (clean exclusive, MESI/MOESI) is
- * `owner == k, sharers == {k}, !dirty` and upgrades silently; O
- * (owned-dirty, MOESI) is `dirty` with `sharers` larger than {owner} --
- * reached because MOESI read-forwards keep the dirty bit where MSI and
- * MESI write back and clear it.
+ * mail and task structure stay with os::Dsm. Pages are born owned by
+ * kernel 0 (the main kernel on the strong domain): M under the
+ * two/three-state protocols, clean E under MESI/MOESI.
  */
 
 #ifndef K2_OS_COHERENCE_DIRECTORY_H
@@ -26,102 +23,95 @@
 #include <vector>
 
 #include "os/coherence/protocol.h"
+#include "os/system.h"
 
 namespace k2 {
+
+namespace snap {
+class Io;
+}
+
 namespace os {
 namespace coherence {
+
+/** One kernel's copy of a page. */
+enum class Copy : std::uint8_t { I, S, E, O, M };
 
 class Directory
 {
   public:
-    /** Per-page directory entry. Pages are born at the home. */
-    struct Entry
-    {
-        std::uint32_t owner = 0;
-        std::uint32_t sharers = 1; //!< Bitmap; bit 0 is the home.
-        bool dirty = false;
-        /** @name In-flight transaction (at most one per page). @{ */
-        bool reqActive = false;
-        bool reqWrite = false;
-        std::uint32_t requester = 0;
-        std::uint32_t ackWait = 0; //!< Sharers still owing an InvAck.
-        sim::Time serviceStart = 0;
-        /** @} */
-    };
+    /** Copy states of one page, indexed by kernel. */
+    using Entry = std::vector<Copy>;
 
-    /**
-     * @param kind ThreeState (MSI), Mesi or Moesi.
-     * @param num_kernels Domain count (home is kernel 0).
-     * @param num_pages DSM page keys available.
-     */
     Directory(ProtocolKind kind, std::size_t num_kernels,
               std::uint64_t num_pages);
-
-    ProtocolKind kind() const { return kind_; }
 
     static std::uint32_t bit(std::size_t k)
     {
         return 1u << static_cast<std::uint32_t>(k);
     }
 
+    /** True if a copy in state @p s serves @p rw without a fault. E
+     *  serves writes (silent E->M); O is shared, so it does not. */
+    static bool permits(Copy s, Access rw)
+    {
+        return rw == Access::Read ? s != Copy::I
+                                  : s == Copy::M || s == Copy::E;
+    }
+
+    /** True if @p s holds data newer than memory. */
+    static bool dirty(Copy s) { return s == Copy::M || s == Copy::O; }
+
+    /** @p page's entry, instantiated on first use. */
     Entry &entry(std::uint64_t page);
 
-    /** Owner without instantiating the entry. */
+    /** @p k's copy of @p page, without instantiating the entry. */
+    Copy state(std::size_t k, std::uint64_t page) const;
+
+    /** The holder of the page's M/E/O copy, or the lowest-index
+     *  holder, or kernel 0 if no copy is valid anywhere. */
     std::size_t ownerOf(std::uint64_t page) const;
 
-    /** True if @p k holds a readable copy. */
-    bool readValid(std::size_t k, std::uint64_t page) const;
+    /**
+     * The kernels a fault of @p k asks (bitmap). An exclusive request
+     * asks every other holder, so each invalidates its copy; a read
+     * asks one: the M/E/O holder, else the lowest-index sharer. A page
+     * no other kernel holds (in flight to the peer, or orphaned by a
+     * crash) is asked of kernel 0, or of kernel 1 if @p k is 0. With
+     * two kernels the answer is always the peer.
+     */
+    std::uint32_t targets(const Entry &e, std::size_t k,
+                          bool exclusive) const;
 
     /**
-     * True if @p k may write without a transaction: it is the sole
-     * dirty owner, or (MESI/MOESI) the sole clean owner -- in which
-     * case the E->M upgrade happens silently here.
+     * Serve a read at holder @p t: M drops to S (MOESI: O); E drops to
+     * S; S, O and I keep their state. Returns the grant: E when no copy
+     * was valid at @p t (the requester will hold the only one, except
+     * under MSI, which has no E), else S.
      */
-    bool writeValid(std::size_t k, std::uint64_t page);
-
-    /** Close a write transaction: @p req becomes sole dirty owner. */
-    void finishWrite(Entry &e, std::size_t req);
+    RepOp downgrade(Entry &e, std::size_t t) const;
 
     /**
-     * Crash recovery at the directory: scrub @p dead from every
-     * entry's sharers/ackWait, move its ownership to @p to (clean:
-     * the dirty copy died with the domain), and finalise transactions
-     * @p dead participated in. Returns pages whose owner moved, in
-     * ascending order, plus (via @p completed) pages whose stalled
-     * transaction can now be granted -- the caller wakes those
-     * requesters.
+     * Crash recovery of one page: @p dead loses its copy. Unless the
+     * page lives on with a third kernel (@p elsewhere), @p to becomes
+     * its sole holder -- M if it was M, else E under MESI/MOESI and M
+     * under the two/three-state protocols. Returns true if the entry
+     * changed.
      */
-    std::vector<std::uint64_t> reclaim(std::size_t dead, std::size_t to,
-                                       std::vector<std::uint64_t>
-                                           &completed);
+    bool reclaim(Entry &e, std::size_t dead, std::size_t to,
+                 bool elsewhere) const;
 
-    std::uint64_t invalidations() const
-    {
-        return invalidations_.value();
-    }
-    std::uint64_t forwards() const { return forwards_.value(); }
-    std::uint64_t writebacks() const { return writebacks_.value(); }
-
-    sim::Counter &invalidationsCounter() { return invalidations_; }
-    sim::Counter &forwardsCounter() { return forwards_; }
-    sim::Counter &writebacksCounter() { return writebacks_; }
-
-    /** Register directory counters under "<prefix>.<proto>.*". */
-    void registerMetrics(obs::MetricsRegistry &reg,
-                         const std::string &prefix) const;
-
-    /** Capture/restore all entries (sorted; post-capture entries are
-     *  dropped on restore). */
+    /** Capture/restore the entries (pages instantiated after the
+     *  capture point are dropped on restore). */
     void snapState(snap::Io &io);
 
   private:
+    Copy born(std::size_t k) const;
+
     ProtocolKind kind_;
     std::size_t n_;
     std::uint64_t numPages_;
     std::unordered_map<std::uint64_t, Entry> entries_;
-    sim::Counter invalidations_; //!< Inv messages fanned out.
-    sim::Counter forwards_;      //!< MOESI dirty cache-to-cache grants.
-    sim::Counter writebacks_;    //!< Dirty writebacks (MSI/MESI).
 };
 
 } // namespace coherence

@@ -1,8 +1,6 @@
 #include "os/coherence/protocol.h"
 
-#include "os/coherence/mesi.h"
-#include "os/coherence/rac.h"
-#include "os/coherence/two_state.h"
+#include "sim/log.h"
 
 namespace k2 {
 namespace os {
@@ -73,22 +71,6 @@ readSharing(ProtocolKind kind)
       case ProtocolKind::TwoState:
       case ProtocolKind::Rac:
         return false;
-    }
-    K2_PANIC("unknown ProtocolKind %u", static_cast<unsigned>(kind));
-}
-
-std::unique_ptr<PairProtocol>
-makePairProtocol(ProtocolKind kind, const PairHost &host)
-{
-    switch (kind) {
-      case ProtocolKind::TwoState:
-      case ProtocolKind::ThreeState:
-        return std::make_unique<TwoStatePair>(kind, host);
-      case ProtocolKind::Mesi:
-      case ProtocolKind::Moesi:
-        return std::make_unique<MesiPair>(kind, host);
-      case ProtocolKind::Rac:
-        return std::make_unique<RacPair>(host);
     }
     K2_PANIC("unknown ProtocolKind %u", static_cast<unsigned>(kind));
 }

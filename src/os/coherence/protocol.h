@@ -1,25 +1,25 @@
 /**
  * @file
- * The coherence-protocol strategy layer behind the K2 DSM.
+ * The coherence-protocol zoo behind the K2 DSM.
  *
  * The paper hard-wires one protocol (the §6.3 two-state scheme, with a
- * three-state MSI variant for the ablation). This subsystem turns the
- * protocol into a first-class strategy so the design space the paper
+ * three-state MSI variant for the ablation). This subsystem makes the
+ * protocol a run-time choice so the design space the paper
  * leaves unexplored -- directory MESI/MOESI, log-based release-acquire
  * -- can be measured on the same platform model:
  *
  *  - ProtocolKind names every registered protocol; parseProtocol()
  *    backs the `--dsm=PROTO` flag on the sweep binaries.
- *  - PairProtocol is the two-kernel strategy interface the Dsm facade
- *    delegates to (per-page state machine, request/grant message set,
- *    fault-phase cost hooks feeding the Table-5 cost model).
- *  - The N-domain variants live in os::NDsm, sharing the directory and
- *    release-acquire state machines (coherence/directory.h,
- *    coherence/rac.h).
+ *  - The pure per-page state machines live here: the copy-state
+ *    directory of the invalidation family (2state/3state/MESI/MOESI,
+ *    coherence/directory.h) and the release-acquire logs and clocks
+ *    (coherence/rac.h). Timing, mail and task structure stay with the
+ *    one DSM engine, os::Dsm, which runs every protocol at any kernel
+ *    count.
  *
  * Message encoding: the legacy two/three-state protocols use the full
  * 20-bit payload as a page number and the access kind in the seq field
- * (see two_state.cpp). The newer protocols need more than one request
+ * (see os/dsm.cpp). The newer protocols need more than one request
  * and one reply verb, and the low eight seq bits are overwritten by
  * the reliable-mail ARQ stamp on tracked mail -- so they carry a 3-bit
  * opcode in the payload's top bits and the page in the remaining 17
@@ -32,24 +32,14 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
 
+#include "sim/log.h"
 #include "sim/stats.h"
-#include "sim/sync.h"
-#include "sim/task.h"
-#include "soc/mmu.h"
-#include "soc/soc.h"
-#include "kern/kernel.h"
+#include "sim/time.h"
 #include "os/messages.h"
-#include "os/system.h"
 
 namespace k2 {
-
-namespace obs {
-class MetricsRegistry;
-}
-
 namespace os {
 namespace coherence {
 
@@ -93,31 +83,6 @@ ProtocolKind parseProtocol(const std::string &name, std::size_t at = 0);
 bool readSharing(ProtocolKind kind);
 
 /**
- * Per-fault cost constants, indexed by kernel (0 = main on the strong
- * domain, 1 = shadow on the weak domain). Defaults are calibrated
- * against Table 5 of the paper.
- */
-struct PairCostModel
-{
-    /** Exception entry + fault decoding on the faulting kernel. */
-    std::array<sim::Duration, 2> faultEntry{sim::usec(3),
-                                            sim::usec(17)};
-    /** Coherence-protocol bookkeeping on the faulting kernel. */
-    std::array<sim::Duration, 2> protocolExec{sim::usec(2),
-                                              sim::usec(13)};
-    /** Request servicing on the *owning* kernel, before the cache
-     *  flush (which is charged separately from the domain spec). */
-    std::array<sim::Duration, 2> serviceBase{0, sim::usec(8)};
-    /** Fault exit + cache refill on the faulting kernel. */
-    std::array<sim::Duration, 2> exitRefill{sim::usec(18),
-                                            sim::usec(2)};
-    /** Bottom-half delay before the main kernel services. */
-    sim::Duration mainBottomHalf = sim::usec(4);
-    /** Extra deferral when the main kernel is under load. */
-    sim::Duration mainLoadedDefer = sim::usec(30);
-};
-
-/**
  * Fault-timeout retry (recovery layer). Off by default (timeout == 0):
  * the faulting kernel spins on the grant forever, exactly the
  * pre-fault-plane behaviour. When enabled, a faulter whose grant does
@@ -145,11 +110,11 @@ struct FaultStats
 };
 
 /**
- * @name Opcode-bearing payload encoding (MESI/MOESI/RAC, pairwise and
- * N-domain). Request verbs ride MsgType::GetExclusive, reply verbs
- * MsgType::PutExclusive, so the mailbox/ARQ plumbing (which tracks
- * exactly those types) needs no changes and invalidation fan-out is
- * automatically retransmitted on loss.
+ * @name Opcode-bearing payload encoding (MESI/MOESI/RAC). Request
+ * verbs ride MsgType::GetExclusive, reply verbs MsgType::PutExclusive,
+ * so the mailbox/ARQ plumbing (which tracks exactly those types) needs
+ * no changes and invalidation fan-out is automatically retransmitted
+ * on loss.
  * @{
  */
 
@@ -160,10 +125,8 @@ inline constexpr std::uint64_t kOpMaxPages = 1ull << kOpPageBits;
 /** Request opcodes (carried on MsgType::GetExclusive). */
 enum class ReqOp : std::uint32_t
 {
-    GetS = 0, //!< Read copy request (directory home / peer).
-    GetX = 1, //!< Exclusive/upgrade request.
-    Inv = 2,  //!< Home -> sharer invalidation.
-    Fwd = 3,  //!< Home -> dirty owner: forward data to the requester.
+    GetS = 0, //!< Read copy request (to the page's owner).
+    GetX = 1, //!< Exclusive/upgrade request (to every holder).
     Acq = 4,  //!< RAC: acquire against the page's last writer.
 };
 
@@ -173,7 +136,6 @@ enum class RepOp : std::uint32_t
     GrantS = 0, //!< Read copy granted (requester ends Shared).
     GrantE = 1, //!< Clean-exclusive granted (MESI E).
     GrantX = 2, //!< Exclusive granted (requester ends Modified).
-    InvAck = 3, //!< Sharer -> home: invalidation done.
 };
 
 inline std::uint32_t
@@ -208,89 +170,6 @@ pageOf(std::uint32_t payload)
 }
 
 /** @} */
-
-/**
- * Everything a pairwise protocol borrows from its Dsm facade. The
- * facade owns the platform handles, cost model, counters and stats so
- * metric keys, snapshot layout and Table-5 reporting stay protocol-
- * independent; the strategy owns only its per-page state machine.
- */
-struct PairHost
-{
-    soc::Soc *soc = nullptr;
-    std::array<kern::Kernel *, 2> kernels{};
-    const PairCostModel *costs = nullptr;
-    std::array<soc::Mmu *, 2> mmus{};
-    std::array<FaultStats, 2> *stats = nullptr;
-    std::array<sim::TrackId, 2> tracks{};
-    sim::Counter *messages = nullptr;
-    sim::Counter *demotions = nullptr;
-    sim::Counter *retries = nullptr;
-    const RetryPolicy *retry = nullptr;
-    std::uint32_t *seq = nullptr;
-    std::uint64_t numPages = 0;
-};
-
-/**
- * A two-kernel coherence protocol strategy.
- *
- * The Dsm facade forwards the fault path (access), the mailbox ISR
- * dispatch (handleMail) and recovery/introspection hooks here. A
- * strategy must keep the one-writer invariant per page, complete
- * every access() it admits (spinning faulters included), and keep its
- * snapState() symmetric so warm-fixture forks replay identically.
- */
-class PairProtocol
-{
-  public:
-    explicit PairProtocol(const PairHost &host) : h_(host) {}
-    virtual ~PairProtocol() = default;
-
-    PairProtocol(const PairProtocol &) = delete;
-    PairProtocol &operator=(const PairProtocol &) = delete;
-
-    virtual ProtocolKind kind() const = 0;
-
-    /** The fault path: satisfy @p rw on @p page for kernel @p k. */
-    virtual sim::Task<void> access(KernelIdx k, soc::Core &core,
-                                   std::uint64_t page, Access rw) = 0;
-
-    /** Protocol message received by @p to (from the mailbox ISR). */
-    virtual sim::Task<void> handleMail(KernelIdx to, Message msg,
-                                       soc::Core &core) = 0;
-
-    /** True if @p k's copy of @p page permits @p rw locally. */
-    virtual bool isLocallyValid(KernelIdx k, std::uint64_t page,
-                                Access rw) const = 0;
-
-    /** Crash recovery: @p owner becomes sole writer of every page;
-     *  returns the number of pages whose state changed. */
-    virtual std::uint64_t reclaimAll(KernelIdx owner) = 0;
-
-    /** Capture/restore the per-page protocol state. */
-    virtual void snapState(snap::Io &io) = 0;
-
-    /**
-     * Protocol-specific counters under "<prefix>.<proto>.*". The
-     * legacy protocols add none, keeping the pre-strategy metric key
-     * set byte-identical for default configurations.
-     */
-    virtual void registerMetrics(obs::MetricsRegistry &reg,
-                                 const std::string &prefix) const
-    {
-        (void)reg;
-        (void)prefix;
-    }
-
-  protected:
-    sim::Engine &engine() const { return h_.soc->engine(); }
-
-    PairHost h_;
-};
-
-/** Instantiate the pairwise strategy for @p kind. */
-std::unique_ptr<PairProtocol> makePairProtocol(ProtocolKind kind,
-                                               const PairHost &host);
 
 } // namespace coherence
 } // namespace os

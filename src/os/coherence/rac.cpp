@@ -11,10 +11,6 @@ namespace k2 {
 namespace os {
 namespace coherence {
 
-// ---------------------------------------------------------------------
-// RacState
-// ---------------------------------------------------------------------
-
 RacState::RacState(std::size_t num_kernels, std::uint64_t num_pages)
     : n_(num_kernels), numPages_(num_pages), logHead_(n_, 0),
       drained_(n_ * n_, 0), vc_(n_ * n_, 0)
@@ -86,11 +82,10 @@ std::vector<std::uint64_t>
 RacState::reclaim(std::size_t dead, std::size_t to)
 {
     std::vector<std::uint64_t> moved;
-    for (const auto &kv : pages_) {
-        if (kv.second.lastWriter == dead)
-            moved.push_back(kv.first);
+    for (std::uint64_t p : snap::sortedKeys(pages_)) {
+        if (pages_.at(p).lastWriter == dead)
+            moved.push_back(p);
     }
-    std::sort(moved.begin(), moved.end());
     // Absorb the dead domain's log: the inheritor has (by definition of
     // recovery) re-synced the data, so it has effectively observed
     // every release the dead domain ever published.
@@ -108,18 +103,6 @@ RacState::reclaim(std::size_t dead, std::size_t to)
         }
     }
     return moved;
-}
-
-std::uint64_t
-RacState::reclaimAll(std::size_t owner)
-{
-    std::uint64_t changed = 0;
-    for (std::size_t dead = 0; dead < n_; ++dead) {
-        if (dead == owner)
-            continue;
-        changed += reclaim(dead, owner).size();
-    }
-    return changed;
 }
 
 void
@@ -141,32 +124,9 @@ RacState::snapState(snap::Io &io)
         io.pod(v);
     io.pod(logAppends_);
     io.pod(drainedLines_);
-    // Per-page writer stamps, in sorted page order; entries
-    // instantiated after the capture point are dropped on restore.
-    std::vector<std::uint64_t> keys;
-    keys.reserve(pages_.size());
-    for (const auto &kv : pages_)
-        keys.push_back(kv.first);
-    std::sort(keys.begin(), keys.end());
-    std::uint64_t n = io.count(keys.size());
-    if (io.restoring()) {
-        std::vector<std::uint64_t> snapKeys(
-            static_cast<std::size_t>(n));
-        for (auto &k : snapKeys)
-            io.pod(k);
-        for (std::uint64_t k : keys) {
-            if (!std::binary_search(snapKeys.begin(), snapKeys.end(),
-                                    k))
-                pages_.erase(k);
-        }
-        keys = std::move(snapKeys);
-    } else {
-        for (std::uint64_t k : keys) {
-            std::uint64_t v = k;
-            io.pod(v);
-        }
-    }
-    for (std::uint64_t k : keys) {
+    // Per-page writer stamps; entries instantiated after the capture
+    // point are dropped on restore.
+    for (std::uint64_t k : io.keys(pages_)) {
         auto it = pages_.find(k);
         if (it == pages_.end())
             K2_FATAL("snapshot restore: RAC page %llu missing",
@@ -174,328 +134,6 @@ RacState::snapState(snap::Io &io)
         io.pod(it->second.lastWriter);
         io.pod(it->second.stamp);
     }
-}
-
-// ---------------------------------------------------------------------
-// RacPair
-// ---------------------------------------------------------------------
-
-RacPair::RacPair(const PairHost &host)
-    : PairProtocol(host), rs_(2, host.numPages)
-{
-    K2_ASSERT(host.numPages <= kOpMaxPages);
-}
-
-RacPair::PageInfo &
-RacPair::info(std::uint64_t page)
-{
-    K2_ASSERT(page < h_.numPages);
-    auto it = pages_.find(page);
-    if (it == pages_.end()) {
-        auto pi = std::make_unique<PageInfo>();
-        pi->grant = std::make_unique<sim::Event>(engine());
-        pi->settled = std::make_unique<sim::Event>(engine());
-        it = pages_.emplace(page, std::move(pi)).first;
-    }
-    return *it->second;
-}
-
-bool
-RacPair::isLocallyValid(KernelIdx kernel, std::uint64_t page,
-                        Access rw) const
-{
-    return rw == Access::Write ? rs_.isWriter(kernel, page)
-                               : rs_.readFresh(kernel, page);
-}
-
-sim::Task<void>
-RacPair::access(KernelIdx k, soc::Core &core, std::uint64_t page,
-                Access rw)
-{
-    PageInfo &pi = info(page);
-
-    // Pages are never demoted under release-acquire (invalidation is
-    // line-grain via the log), so translation stays at section grain.
-    const sim::Duration walk =
-        h_.mmus[k]->translate(page, soc::MapGrain::Section1M);
-    if (walk)
-        co_await core.execTime(walk);
-
-    for (;;) {
-        // Serialise with an acquire already in flight on this page.
-        while (pi.outstanding) {
-            core.pinActive();
-            co_await pi.settled->wait();
-            core.unpinActive();
-        }
-        if (isLocallyValid(k, page, rw)) {
-            if (rw == Access::Write) {
-                // Owner write: append the modified line addresses to
-                // this domain's log through the coherent region.
-                rs_.append(k, page);
-                co_await core.execTime(h_.soc->costs().busAccess);
-            }
-            co_return;
-        }
-
-        // ---- Acquire fault (Table-5 phases). ----
-        FaultStats &st = (*h_.stats)[k];
-        st.faults.inc();
-        K2_TRACE(engine(), sim::TraceCat::Dsm,
-                 "%s acquires page %llu (%s)",
-                 h_.kernels[k]->name().c_str(),
-                 static_cast<unsigned long long>(page),
-                 rw == Access::Write ? "W" : "R");
-        pi.outstanding = true;
-        pi.requester = static_cast<std::uint32_t>(k);
-
-        // No read-tracking penalty: invalidation is push-based via the
-        // writer's log, so the weak MMU never write-protects for reads.
-        const sim::Time t0 = engine().now();
-        co_await core.execTime(h_.costs->faultEntry[k]);
-        const sim::Time t1 = engine().now();
-
-        co_await core.execTime(h_.costs->protocolExec[k]);
-        const sim::Time t2 = engine().now();
-
-        h_.messages->inc();
-        h_.kernels[k]->sendMail(
-            h_.kernels[1 - k]->domainId(),
-            encodeMessage(MsgType::GetExclusive,
-                          packOp(ReqOp::Acq, page),
-                          (*h_.seq)++ & kSeqMask));
-
-        // Spin until the writer's release grant arrives; with a retry
-        // policy re-send on timeout (self-healing: recovery may have
-        // completed the fault locally in the meantime).
-        pi.grant->reset();
-        pi.grantArrived = false;
-        core.pinActive();
-        if (h_.retry->timeout == 0) {
-            co_await pi.grant->wait();
-        } else {
-            sim::Duration rto = h_.retry->timeout;
-            while (!pi.grantArrived) {
-                bool timer_fired = false;
-                sim::Event *grant = pi.grant.get();
-                sim::EventId timer = engine().after(
-                    rto, [grant, &timer_fired]() {
-                        timer_fired = true;
-                        grant->pulse();
-                    });
-                co_await pi.grant->wait();
-                engine().cancel(timer);
-                if (pi.grantArrived)
-                    break;
-                if (!timer_fired)
-                    continue;
-                h_.retries->inc();
-                h_.messages->inc();
-                K2_TRACE(engine(), sim::TraceCat::Dsm,
-                         "%s retries Acq for page %llu",
-                         h_.kernels[k]->name().c_str(),
-                         static_cast<unsigned long long>(page));
-                h_.kernels[k]->sendMail(
-                    h_.kernels[1 - k]->domainId(),
-                    encodeMessage(MsgType::GetExclusive,
-                                  packOp(ReqOp::Acq, page),
-                                  (*h_.seq)++ & kSeqMask));
-                rto = std::min(rto * 2, h_.retry->maxTimeout);
-            }
-        }
-        core.unpinActive();
-        const sim::Time t3 = engine().now();
-
-        // Drain the peer's modified-line log: invalidate every listed
-        // line locally and merge the writer's clock. This is what
-        // makes the *whole* backlog of that writer fresh, not just the
-        // faulting page.
-        const KernelIdx w = 1 - k;
-        const std::uint32_t pend = rs_.pendingLines(k, w);
-        if (pend > 0) {
-            const sim::Time d0 = engine().now();
-            rs_.drain(k, w);
-            co_await core.execTime(pend * kRacLineInvalidate);
-            engine().spanComplete(d0, h_.tracks[k], "drain");
-        }
-
-        sim::Duration exit = h_.costs->exitRefill[k];
-        if (rw == Access::Write)
-            exit += h_.mmus[k]->protectionUpdate(page);
-        co_await core.execTime(exit);
-        const sim::Time t4 = engine().now();
-
-        if (rw == Access::Write)
-            rs_.takeOwnership(k, page);
-        pi.outstanding = false;
-        pi.settled->pulse();
-
-        if (engine().tracer().spansOn()) {
-            sim::Tracer &tr = engine().tracer();
-            tr.spanComplete(t0, t4 - t0, h_.tracks[k], "fault");
-            tr.spanComplete(t0, t1 - t0, h_.tracks[k], "fault_entry");
-            tr.spanComplete(t1, t2 - t1, h_.tracks[k], "protocol");
-            tr.spanComplete(t2, t3 - t2, h_.tracks[k], "comm+service");
-            tr.spanComplete(t3, t4 - t3, h_.tracks[k], "exit_refill");
-        }
-
-        st.localFaultUs.sample(sim::toUsec(t1 - t0));
-        st.protocolUs.sample(sim::toUsec(t2 - t1));
-        st.serviceUs.sample(sim::toUsec(pi.lastServiceTime));
-        st.commUs.sample(sim::toUsec(t3 - t2) -
-                         sim::toUsec(pi.lastServiceTime));
-        st.exitUs.sample(sim::toUsec(t4 - t3));
-        st.totalUs.sample(sim::toUsec(t4 - t0));
-
-        if (rw == Access::Write)
-            co_return; // Ownership taken; the write is logged.
-        // Reads re-check freshness: the writer may have released again
-        // while we drained.
-    }
-}
-
-sim::Task<void>
-RacPair::serviceAcquire(KernelIdx writer, std::uint64_t page)
-{
-    PageInfo &pi = info(page);
-
-    // The main kernel's cache agent runs as a bottom half and defers
-    // further under load; the shadow kernel serves immediately.
-    if (writer == 0) {
-        sim::Duration defer = h_.costs->mainBottomHalf;
-        if (h_.kernels[0]->scheduler().runqueueDepth() > 0)
-            defer += h_.costs->mainLoadedDefer;
-        co_await engine().sleep(defer);
-    }
-
-    // Pick a core of the servicing domain.
-    soc::CoherenceDomain &dom = h_.kernels[writer]->domain();
-    soc::Core *core = &dom.core(0);
-    for (std::size_t i = 0; i < dom.numCores(); ++i) {
-        if (dom.core(i).state() == soc::PowerState::Idle) {
-            core = &dom.core(i);
-            break;
-        }
-    }
-    if (!core->awake())
-        co_await core->ensureAwake();
-
-    // Release: flush the page's dirty lines through the coherent
-    // region so the acquirer's drain observes them.
-    const sim::Time t_start = engine().now();
-    co_await core->execTime(h_.costs->serviceBase[writer] +
-                            dom.flushTime(h_.soc->pageBytes()));
-    pi.lastServiceTime = engine().now() - t_start;
-    engine().spanComplete(t_start, h_.tracks[writer], "service");
-    K2_TRACE(engine(), sim::TraceCat::Dsm,
-             "%s releases page %llu",
-             h_.kernels[writer]->name().c_str(),
-             static_cast<unsigned long long>(page));
-
-    h_.messages->inc();
-    h_.kernels[writer]->sendMail(
-        h_.kernels[1 - writer]->domainId(),
-        encodeMessage(MsgType::PutExclusive,
-                      packOp(RepOp::GrantX, page),
-                      (*h_.seq)++ & kSeqMask));
-}
-
-sim::Task<void>
-RacPair::handleMail(KernelIdx to_kernel, Message msg, soc::Core &core)
-{
-    const std::uint64_t page = pageOf(msg.payload);
-    switch (msg.type) {
-      case MsgType::GetExclusive:
-        K2_ASSERT(opOf(msg.payload) ==
-                  static_cast<std::uint32_t>(ReqOp::Acq));
-        engine().spawn(serviceAcquire(to_kernel, page));
-        co_return;
-      case MsgType::PutExclusive: {
-        K2_ASSERT(opOf(msg.payload) ==
-                  static_cast<std::uint32_t>(RepOp::GrantX));
-        co_await core.execTime(h_.soc->costs().busAccess);
-        PageInfo &pi = info(page);
-        pi.grantArrived = true;
-        pi.grant->pulse();
-        co_return;
-      }
-      default:
-        K2_PANIC("RAC received non-DSM message type %u",
-                 static_cast<unsigned>(msg.type));
-    }
-}
-
-std::uint64_t
-RacPair::reclaimAll(KernelIdx owner)
-{
-    K2_ASSERT(owner < 2);
-    const std::uint64_t changed = rs_.reclaimAll(owner);
-    // Complete the survivor's faults left waiting on a release from
-    // the dead peer, in sorted page order (pulse order decides wakeup
-    // FIFO order).
-    std::vector<std::uint64_t> keys;
-    keys.reserve(pages_.size());
-    for (const auto &kv : pages_)
-        keys.push_back(kv.first);
-    std::sort(keys.begin(), keys.end());
-    for (std::uint64_t page : keys) {
-        auto &pi = pages_.at(page);
-        if (pi->outstanding && pi->requester == owner &&
-            !pi->grantArrived) {
-            pi->grantArrived = true;
-            pi->grant->pulse();
-        }
-    }
-    return changed;
-}
-
-void
-RacPair::snapState(snap::Io &io)
-{
-    rs_.snapState(io);
-    std::vector<std::uint64_t> keys;
-    keys.reserve(pages_.size());
-    for (const auto &kv : pages_)
-        keys.push_back(kv.first);
-    std::sort(keys.begin(), keys.end());
-    std::uint64_t n = io.count(keys.size());
-    if (io.restoring()) {
-        std::vector<std::uint64_t> snapKeys(
-            static_cast<std::size_t>(n));
-        for (auto &k : snapKeys)
-            io.pod(k);
-        for (std::uint64_t k : keys) {
-            if (!std::binary_search(snapKeys.begin(), snapKeys.end(),
-                                    k))
-                pages_.erase(k);
-        }
-        keys = std::move(snapKeys);
-    } else {
-        for (std::uint64_t k : keys) {
-            std::uint64_t v = k;
-            io.pod(v);
-        }
-    }
-    for (std::uint64_t k : keys) {
-        auto it = pages_.find(k);
-        if (it == pages_.end())
-            K2_FATAL("snapshot restore: RAC fault page %llu missing",
-                     static_cast<unsigned long long>(k));
-        PageInfo &pi = *it->second;
-        io.pod(pi.outstanding);
-        io.pod(pi.grantArrived);
-        io.pod(pi.requester);
-        pi.grant->snapState(io);
-        pi.settled->snapState(io);
-        io.pod(pi.lastServiceTime);
-    }
-}
-
-void
-RacPair::registerMetrics(obs::MetricsRegistry &reg,
-                         const std::string &prefix) const
-{
-    rs_.registerMetrics(reg, prefix);
 }
 
 } // namespace coherence

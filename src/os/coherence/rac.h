@@ -24,9 +24,7 @@
  *    two-state protocol's owner writes are free.
  *
  * RacState is the pure state machine (logs, clocks, per-page writer
- * stamps), shared by the pairwise RacPair strategy below and the
- * N-domain mode of os::NDsm. Timing, messages and task structure stay
- * with the host protocol.
+ * stamps); timing, messages and task structure stay with os::Dsm.
  */
 
 #ifndef K2_OS_COHERENCE_RAC_H
@@ -38,6 +36,14 @@
 #include "os/coherence/protocol.h"
 
 namespace k2 {
+
+namespace obs {
+class MetricsRegistry;
+}
+namespace snap {
+class Io;
+}
+
 namespace os {
 namespace coherence {
 
@@ -96,10 +102,6 @@ class RacState
     std::vector<std::uint64_t> reclaim(std::size_t dead,
                                        std::size_t to);
 
-    /** Make @p owner writer of *every* instantiated page (pairwise
-     *  recovery); returns pages whose writer changed. */
-    std::uint64_t reclaimAll(std::size_t owner);
-
     std::uint64_t logAppends() const { return logAppends_.value(); }
     std::uint64_t drainedLines() const { return drainedLines_.value(); }
 
@@ -127,47 +129,6 @@ class RacState
     std::unordered_map<std::uint64_t, PageState> pages_;
     sim::Counter logAppends_;
     sim::Counter drainedLines_;
-};
-
-/** The pairwise (main + shadow) release-acquire strategy. */
-class RacPair : public PairProtocol
-{
-  public:
-    explicit RacPair(const PairHost &host);
-
-    ProtocolKind kind() const override { return ProtocolKind::Rac; }
-
-    sim::Task<void> access(KernelIdx k, soc::Core &core,
-                           std::uint64_t page, Access rw) override;
-    sim::Task<void> handleMail(KernelIdx to, Message msg,
-                               soc::Core &core) override;
-    bool isLocallyValid(KernelIdx k, std::uint64_t page,
-                        Access rw) const override;
-    std::uint64_t reclaimAll(KernelIdx owner) override;
-    void snapState(snap::Io &io) override;
-    void registerMetrics(obs::MetricsRegistry &reg,
-                         const std::string &prefix) const override;
-
-  private:
-    /** Per-page fault plumbing (one acquire in flight per page). */
-    struct PageInfo
-    {
-        bool outstanding = false;
-        bool grantArrived = false;
-        std::uint32_t requester = 0;
-        std::unique_ptr<sim::Event> grant;
-        std::unique_ptr<sim::Event> settled;
-        sim::Duration lastServiceTime = 0;
-    };
-
-    PageInfo &info(std::uint64_t page);
-
-    /** Writer-side cache-agent servicing of an Acquire. */
-    sim::Task<void> serviceAcquire(KernelIdx writer,
-                                   std::uint64_t page);
-
-    RacState rs_;
-    std::unordered_map<std::uint64_t, std::unique_ptr<PageInfo>> pages_;
 };
 
 } // namespace coherence

@@ -1,5 +1,8 @@
 #include "os/dsm.h"
 
+#include <algorithm>
+
+#include "fault/injector.h"
 #include "obs/metrics.h"
 #include "sim/log.h"
 #include "snap/io.h"
@@ -7,36 +10,87 @@
 namespace k2 {
 namespace os {
 
-Dsm::Dsm(soc::Soc &soc, std::array<kern::Kernel *, 2> kernels,
-         std::uint64_t num_pages, Protocol protocol)
-    : Dsm(soc, kernels, num_pages, protocol, CostModel{})
-{}
+using coherence::Copy;
+using coherence::Directory;
+using coherence::ProtocolKind;
+using coherence::RepOp;
+using coherence::ReqOp;
 
-Dsm::Dsm(soc::Soc &soc, std::array<kern::Kernel *, 2> kernels,
-         std::uint64_t num_pages, Protocol protocol, CostModel costs)
-    : soc_(soc), kernels_(kernels), numPages_(num_pages), costs_(costs)
+namespace {
+
+/** Per-fault cost constants of one kernel (Table 5 calibration). */
+struct KernelCosts
 {
-    for (KernelIdx k = 0; k < 2; ++k) {
-        K2_ASSERT(kernels_[k] != nullptr);
-        mmus_[k] = std::make_unique<soc::Mmu>(
-            kernels_[k]->domain().spec().core);
-        tracks_[k] =
-            soc_.engine().addTrack("os.dsm." + kernels_[k]->name());
+    /** Exception entry + fault decoding on the faulting kernel. */
+    sim::Duration faultEntry;
+    /** Coherence-protocol bookkeeping on the faulting kernel. */
+    sim::Duration protocolExec;
+    /** Request servicing on the asked kernel, before the cache flush
+     *  (which is charged separately from the domain spec). */
+    sim::Duration serviceBase;
+    /** Fault exit + cache refill on the faulting kernel. */
+    sim::Duration exitRefill;
+};
+
+constexpr KernelCosts kStrongCosts{sim::usec(3), sim::usec(2), 0,
+                                   sim::usec(18)};
+constexpr KernelCosts kWeakCosts{sim::usec(17), sim::usec(13),
+                                 sim::usec(8), sim::usec(2)};
+
+const KernelCosts &
+costsFor(bool strong)
+{
+    return strong ? kStrongCosts : kWeakCosts;
+}
+
+/** Bottom-half delay before a strong kernel services a request, and
+ *  the extra deferral when it is under load. */
+constexpr sim::Duration kBottomHalf = sim::usec(4);
+constexpr sim::Duration kLoadedDefer = sim::usec(30);
+
+/** Legacy wire: the Get carries the access kind in the top seq bit. */
+constexpr std::uint32_t kRwFlag = 0x100;
+
+std::uint32_t
+packSeq(std::uint32_t seq, Access rw)
+{
+    return (seq & 0xFF) | (rw == Access::Write ? kRwFlag : 0);
+}
+
+Access
+unpackRw(std::uint32_t seq)
+{
+    return (seq & kRwFlag) ? Access::Write : Access::Read;
+}
+
+} // namespace
+
+Dsm::Dsm(soc::Soc &soc, std::vector<kern::Kernel *> kernels,
+         std::uint64_t num_pages, Protocol protocol)
+    : soc_(soc), kernels_(std::move(kernels)), kind_(protocol),
+      numPages_(num_pages), stats_(kernels_.size())
+{
+    K2_ASSERT(kernels_.size() >= 2 && kernels_.size() <= 32);
+    for (kern::Kernel *k : kernels_) {
+        K2_ASSERT(k != nullptr);
+        const auto &spec = k->domain().spec().core;
+        strong_.push_back(spec.kernelCostFactor <= 1.0 ? 1 : 0);
+        mmus_.push_back(std::make_unique<soc::Mmu>(spec));
+        tracks_.push_back(soc_.engine().addTrack("os.dsm." + k->name()));
     }
-    coherence::PairHost host;
-    host.soc = &soc_;
-    host.kernels = kernels_;
-    host.costs = &costs_;
-    host.mmus = {mmus_[0].get(), mmus_[1].get()};
-    host.stats = &stats_;
-    host.tracks = tracks_;
-    host.messages = &messages_;
-    host.demotions = &demotions_;
-    host.retries = &retries_;
-    host.retry = &retry_;
-    host.seq = &seq_;
-    host.numPages = numPages_;
-    impl_ = coherence::makePairProtocol(protocol, host);
+    if (!legacyWire() && numPages_ > coherence::kOpMaxPages)
+        K2_FATAL("%s DSM limited to %llu pages (opcode payload bits), "
+                 "got %llu",
+                 coherence::protocolName(kind_),
+                 static_cast<unsigned long long>(coherence::kOpMaxPages),
+                 static_cast<unsigned long long>(numPages_));
+    if (kind_ == ProtocolKind::Rac) {
+        rac_ = std::make_unique<coherence::RacState>(kernels_.size(),
+                                                     numPages_);
+    } else {
+        dir_ = std::make_unique<Directory>(kind_, kernels_.size(),
+                                           numPages_);
+    }
 }
 
 Dsm::~Dsm() = default;
@@ -54,72 +108,700 @@ Dsm::allocRegion(std::uint64_t pages)
     return r;
 }
 
+Dsm::PageInfo &
+Dsm::info(std::uint64_t page)
+{
+    K2_ASSERT(page < numPages_);
+    auto it = pages_.find(page);
+    if (it == pages_.end()) {
+        auto pi = std::make_unique<PageInfo>();
+        pi->faults.resize(kernels_.size());
+        pi->grant = std::make_unique<sim::Event>(soc_.engine());
+        pi->settled = std::make_unique<sim::Event>(soc_.engine());
+        it = pages_.emplace(page, std::move(pi)).first;
+    }
+    return *it->second;
+}
+
 KernelIdx
 Dsm::idxOf(const kern::Kernel &k) const
 {
-    for (KernelIdx i = 0; i < 2; ++i) {
+    for (KernelIdx i = 0; i < kernels_.size(); ++i) {
         if (kernels_[i] == &k)
             return i;
     }
     K2_PANIC("kernel '%s' is not part of this DSM", k.name().c_str());
 }
 
+std::uint32_t
+Dsm::faulting(const PageInfo &pi) const
+{
+    std::uint32_t mask = 0;
+    for (KernelIdx k = 0; k < kernels_.size(); ++k) {
+        if (pi.faults[k].outstanding && !pi.faults[k].abandoned)
+            mask |= Directory::bit(k);
+    }
+    return mask;
+}
+
+bool
+Dsm::down(KernelIdx k)
+{
+    const fault::FaultInjector *inj = soc_.mailbox().faultInjector();
+    return inj != nullptr && inj->domainDown(kernels_[k]->domainId());
+}
+
+bool
+Dsm::legacyWire() const
+{
+    return kind_ == ProtocolKind::TwoState ||
+           kind_ == ProtocolKind::ThreeState;
+}
+
 bool
 Dsm::isLocallyValid(KernelIdx kernel, std::uint64_t page,
                     Access rw) const
 {
-    return impl_->isLocallyValid(kernel, page, rw);
+    if (rac_) {
+        return rw == Access::Write ? rac_->isWriter(kernel, page)
+                                   : rac_->readFresh(kernel, page);
+    }
+    return Directory::permits(dir_->state(kernel, page), rw);
+}
+
+KernelIdx
+Dsm::ownerOf(std::uint64_t page) const
+{
+    return rac_ ? rac_->writerOf(page) : dir_->ownerOf(page);
 }
 
 sim::Task<void>
 Dsm::access(kern::Kernel &kern, soc::Core &core, std::uint64_t page,
             Access rw)
 {
-    return impl_->access(idxOf(kern), core, page, rw);
-}
-
-std::uint64_t
-Dsm::reclaimAll(KernelIdx owner)
-{
-    K2_ASSERT(owner < 2);
-    return impl_->reclaimAll(owner);
+    const KernelIdx k = idxOf(kern);
+    return rac_ ? accessRac(k, core, page, rw)
+                : accessCopy(k, core, page, rw);
 }
 
 void
-Dsm::snapState(snap::Io &io)
+Dsm::sendRequest(KernelIdx from, KernelIdx to, std::uint64_t page,
+                 Access rw)
 {
-    io.check(tracks_[0], "Dsm::track0");
-    io.check(tracks_[1], "Dsm::track1");
-    io.pod(seq_);
-    io.pod(nextRegionPage_);
-    io.pod(messages_);
-    io.pod(demotions_);
-    io.pod(retries_);
-    for (auto &mmu : mmus_)
-        mmu->snapState(io);
-    for (FaultStats &st : stats_) {
-        io.pod(st.faults);
-        io.pod(st.localFaultUs);
-        io.pod(st.protocolUs);
-        io.pod(st.commUs);
-        io.pod(st.serviceUs);
-        io.pod(st.exitUs);
-        io.pod(st.totalUs);
+    std::uint32_t payload;
+    std::uint32_t seq;
+    if (legacyWire()) {
+        payload = page & kPayloadMask;
+        seq = packSeq(seq_++, rw);
+    } else {
+        const ReqOp op = rac_ ? ReqOp::Acq
+            : rw == Access::Write ? ReqOp::GetX
+                                  : ReqOp::GetS;
+        payload = coherence::packOp(op, page);
+        seq = seq_++ & kSeqMask;
     }
-    impl_->snapState(io);
+    messages_.inc();
+    kernels_[from]->sendMail(
+        kernels_[to]->domainId(),
+        encodeMessage(MsgType::GetExclusive, payload, seq));
 }
 
 void
-Dsm::registerMetrics(obs::MetricsRegistry &reg,
-                     const std::string &prefix) const
+Dsm::askHolders(KernelIdx k, std::uint64_t page, Access rw,
+                bool exclusive)
 {
+    Fault &f = info(page).faults[k];
+    f.awaiting = dir_->targets(dir_->entry(page), k, exclusive);
+    for (KernelIdx j = 0; j < kernels_.size(); ++j) {
+        if ((f.awaiting & Directory::bit(j)) != 0)
+            sendRequest(k, j, page, rw);
+    }
+}
+
+soc::Core &
+Dsm::serviceCore(KernelIdx k)
+{
+    soc::CoherenceDomain &dom = kernels_[k]->domain();
+    for (std::size_t i = 0; i < dom.numCores(); ++i) {
+        if (dom.core(i).state() == soc::PowerState::Idle)
+            return dom.core(i);
+    }
+    return dom.core(0);
+}
+
+sim::Task<void>
+Dsm::bottomHalf(KernelIdx k)
+{
+    // The main (strong) kernel handles coherence requests in a bottom
+    // half and defers further under load; weak kernels serve
+    // immediately.
+    if (!strong_[k])
+        co_return;
+    sim::Duration defer = kBottomHalf;
+    if (kernels_[k]->scheduler().runqueueDepth() > 0)
+        defer += kLoadedDefer;
+    co_await soc_.engine().sleep(defer);
+}
+
+sim::Task<void>
+Dsm::awaitGrant(PageInfo &pi, KernelIdx k, soc::Core &core,
+                std::uint64_t page, Access rw, bool exclusive)
+{
+    // Spin (synchronously -- the faulting context may be an interrupt
+    // handler) until the grant arrives. With a retry policy, re-send
+    // the request when the grant times out: the request or its grant
+    // may have been lost, or the asked kernel may be down until the
+    // watchdog revives it (or reclaims the page from it).
+    Fault &f = pi.faults[k];
+    pi.grant->reset();
+    f.grantArrived = false;
+    core.pinActive();
+    if (retry_.timeout == 0) {
+        co_await pi.grant->wait();
+    } else {
+        sim::Duration rto = retry_.timeout;
+        while (!f.grantArrived) {
+            bool timer_fired = false;
+            sim::Event *grant = pi.grant.get();
+            sim::EventId timer = soc_.engine().after(
+                rto, [grant, &timer_fired]() {
+                    timer_fired = true;
+                    grant->pulse();
+                });
+            co_await pi.grant->wait();
+            soc_.engine().cancel(timer);
+            if (f.grantArrived)
+                break;
+            if (!timer_fired)
+                continue; // Woken by an unrelated pulse; re-wait.
+            if (f.abandoned) {
+                // Reclaimed mid-fault: resend nothing; once this
+                // kernel's domain is back, the caller faults afresh.
+                if (!down(k))
+                    break;
+                rto = std::min(rto * 2, retry_.maxTimeout);
+                continue;
+            }
+            retries_.inc();
+            if (rac_) {
+                K2_TRACE(soc_.engine(), sim::TraceCat::Dsm,
+                         "%s retries Acq for page %llu",
+                         kernels_[k]->name().c_str(),
+                         static_cast<unsigned long long>(page));
+                // Re-read the writer: a reclaim may have moved the
+                // page since the original Acq.
+                const KernelIdx w = rac_->writerOf(page);
+                if (w == k)
+                    break;
+                f.awaiting = Directory::bit(w);
+                sendRequest(k, w, page, rw);
+            } else {
+                if (legacyWire()) {
+                    K2_TRACE(soc_.engine(), sim::TraceCat::Dsm,
+                             "%s retries Get for page %llu",
+                             kernels_[k]->name().c_str(),
+                             static_cast<unsigned long long>(page));
+                }
+                // Ask the page's current holders, which a reclaim may
+                // have changed since the original request.
+                askHolders(k, page, rw, exclusive);
+            }
+            rto = std::min(rto * 2, retry_.maxTimeout);
+        }
+    }
+    core.unpinActive();
+}
+
+void
+Dsm::recordFault(KernelIdx k, const PageInfo &pi, sim::Time t0,
+                 sim::Time t1, sim::Time t2, sim::Time t3, sim::Time t4)
+{
+    // Emit the fault and its phases as nested spans on the faulting
+    // kernel's track: a parent "fault" X event spanning t0..t4 with
+    // four child phases inside it (the same breakdown as Table 5).
+    if (soc_.engine().tracer().spansOn()) {
+        sim::Tracer &tr = soc_.engine().tracer();
+        tr.spanComplete(t0, t4 - t0, tracks_[k], "fault");
+        tr.spanComplete(t0, t1 - t0, tracks_[k], "fault_entry");
+        tr.spanComplete(t1, t2 - t1, tracks_[k], "protocol");
+        tr.spanComplete(t2, t3 - t2, tracks_[k], "comm+service");
+        tr.spanComplete(t3, t4 - t3, tracks_[k], "exit_refill");
+    }
+
+    FaultStats &st = stats_[k];
+    st.localFaultUs.sample(sim::toUsec(t1 - t0));
+    st.protocolUs.sample(sim::toUsec(t2 - t1));
+    st.serviceUs.sample(sim::toUsec(pi.lastServiceTime));
+    st.commUs.sample(sim::toUsec(t3 - t2) -
+                     sim::toUsec(pi.lastServiceTime));
+    st.exitUs.sample(sim::toUsec(t4 - t3));
+    st.totalUs.sample(sim::toUsec(t4 - t0));
+}
+
+// ---------------------------------------------------------------------
+// Invalidation protocols (two-state, MSI, MESI, MOESI).
+// ---------------------------------------------------------------------
+
+sim::Task<void>
+Dsm::accessCopy(KernelIdx k, soc::Core &core, std::uint64_t page,
+                Access rw)
+{
+    PageInfo &pi = info(page);
+    Fault &f = pi.faults[k];
+    const KernelCosts &c = costsFor(strong_[k]);
+
+    // Address translation through the local MMU at the page's current
+    // mapping grain.
+    const auto grain =
+        pi.demoted ? soc::MapGrain::Page4K : soc::MapGrain::Section1M;
+    const sim::Duration walk = mmus_[k]->translate(page, grain);
+    if (walk)
+        co_await core.execTime(walk);
+
+    for (;;) {
+        // Serialise with a fault already in flight on this kernel (and,
+        // beyond two kernels, on any kernel).
+        while (f.outstanding || (serialised() && faulting(pi) != 0)) {
+            core.pinActive();
+            co_await pi.settled->wait();
+            core.unpinActive();
+        }
+        Directory::Entry &e = dir_->entry(page);
+        if (Directory::permits(e[k], rw)) {
+            // Silent E->M upgrade: no messages, no cost.
+            if (rw == Access::Write && e[k] == Copy::E)
+                e[k] = Copy::M;
+            co_return;
+        }
+
+        // ---- Full fault path (Table 5). ----
+        stats_[k].faults.inc();
+        if (legacyWire()) {
+            K2_TRACE(soc_.engine(), sim::TraceCat::Dsm,
+                     "%s faults on page %llu (%s)",
+                     kernels_[k]->name().c_str(),
+                     static_cast<unsigned long long>(page),
+                     rw == Access::Write ? "W" : "R");
+        } else {
+            K2_TRACE(soc_.engine(), sim::TraceCat::Dsm,
+                     "%s %s-faults on page %llu (%s)",
+                     kernels_[k]->name().c_str(),
+                     coherence::protocolName(kind_),
+                     static_cast<unsigned long long>(page),
+                     rw == Access::Write ? "W" : "R");
+        }
+        f.outstanding = true;
+        // An upgrade fault holds a valid (read) copy while requesting
+        // exclusivity; a concurrent exclusive request invalidates it
+        // and marks the race.
+        f.upgrade = e[k] != Copy::I;
+        f.raced = false;
+
+        if (!pi.demoted) {
+            // Replacing the local large-grain mapping with 4 KB
+            // entries: one page-table update on the faulting side. The
+            // remote side's mapping is rewritten when it services or
+            // faults next; its cost is folded into the protection
+            // updates charged there.
+            pi.demoted = true;
+            demotions_.inc();
+            co_await core.execTime(mmus_[k]->protectionUpdate(page));
+        }
+
+        const sim::Time t0 = soc_.engine().now();
+        sim::Duration entry = c.faultEntry;
+        // Read sharing needs read/write distinction from the MMU; weak
+        // kernels pay the cascaded-MMU tracking penalty (§6.3).
+        if (coherence::readSharing(kind_) && !strong_[k])
+            entry += mmus_[k]->readTrackPenalty();
+        co_await core.execTime(entry);
+        const sim::Time t1 = soc_.engine().now();
+
+        co_await core.execTime(c.protocolExec);
+        const sim::Time t2 = soc_.engine().now();
+
+        // The two-state protocol has no read copies: every fault asks
+        // for exclusivity.
+        const bool exclusive =
+            kind_ == ProtocolKind::TwoState || rw == Access::Write;
+        askHolders(k, page, rw, exclusive);
+        co_await awaitGrant(pi, k, core, page, rw, exclusive);
+        if (f.abandoned) {
+            f = Fault{};
+            pi.settled->pulse();
+            continue;
+        }
+        const sim::Time t3 = soc_.engine().now();
+
+        co_await core.execTime(c.exitRefill +
+                               mmus_[k]->protectionUpdate(page));
+        const sim::Time t4 = soc_.engine().now();
+
+        const bool raced = f.raced;
+        if (!raced)
+            e[k] = exclusive ? Copy::M : f.grantState;
+        f.outstanding = false;
+        f.upgrade = false;
+        pi.settled->pulse();
+        recordFault(k, pi, t0, t1, t2, t3, t4);
+
+        if (!raced)
+            co_return;
+        // Our copy was invalidated by a concurrent exclusive request
+        // while we waited; retry the fault.
+    }
+}
+
+sim::Task<void>
+Dsm::serviceGet(KernelIdx t, KernelIdx req, std::uint64_t page,
+                Access rw)
+{
+    PageInfo &pi = info(page);
+    Fault &f = pi.faults[t];
+    co_await bottomHalf(t);
+
+    // Serialise with a local fault in flight, except for a concurrent
+    // upgrade race, which we resolve by invalidating the local copy
+    // and letting the local fault retry.
+    //
+    // A *crossed* pair of exclusive faults -- both copies Invalid, each
+    // kernel waiting for the other's grant -- can only arise after
+    // crash recovery desynchronises ownership (reclaim forces the dead
+    // side Invalid mid-fault; its stale retransmitted Get later
+    // invalidates the survivor). Waiting here would then deadlock:
+    // this service waits for the local fault to settle, the local
+    // fault waits for a grant the peer's equally-parked service never
+    // sends. The weak side breaks the cycle the same way the upgrade
+    // race does: service immediately and let the local fault retry.
+    Directory::Entry &e = dir_->entry(page);
+    bool crossed = false;
+    for (;;) {
+        crossed = !strong_[t] && f.outstanding && !f.upgrade &&
+                  e[t] == Copy::I;
+        if (crossed || !f.outstanding || f.upgrade)
+            break;
+        co_await pi.settled->wait();
+    }
+
+    soc::Core &core = serviceCore(t);
+    if (!core.awake())
+        co_await core.ensureAwake();
+
+    const sim::Time t_start = soc_.engine().now();
+    soc::CoherenceDomain &dom = kernels_[t]->domain();
+    const Copy s = e[t];
+    const bool dirty = Directory::dirty(s);
+    sim::Duration cost = costsFor(strong_[t]).serviceBase +
+                         mmus_[t]->protectionUpdate(page);
+    if (dirty) {
+        if (kind_ == ProtocolKind::Moesi) {
+            // Owner forwards dirty data cache-to-cache through the
+            // coherent region; no memory writeback.
+            cost += dom.flushTime(soc_.pageBytes()) / 2;
+            forwards_.inc();
+        } else {
+            cost += dom.flushTime(soc_.pageBytes());
+            writebacks_.inc();
+        }
+    }
+    co_await core.execTime(cost);
+
+    RepOp grant = RepOp::GrantX;
+    if (kind_ != ProtocolKind::TwoState && rw == Access::Read) {
+        grant = dir_->downgrade(e, t);
+    } else {
+        if (f.outstanding && (f.upgrade || crossed))
+            f.raced = true;
+        e[t] = Copy::I;
+    }
+    pi.lastServiceTime = soc_.engine().now() - t_start;
+    soc_.engine().spanComplete(t_start, tracks_[t], "service");
+
+    std::uint32_t payload;
+    std::uint32_t seq;
+    if (legacyWire()) {
+        K2_TRACE(soc_.engine(), sim::TraceCat::Dsm,
+                 "%s services page %llu (%s)",
+                 kernels_[t]->name().c_str(),
+                 static_cast<unsigned long long>(page),
+                 dirty ? "flush" : "clean");
+        payload = page & kPayloadMask;
+        seq = packSeq(seq_++, rw);
+    } else {
+        K2_TRACE(soc_.engine(), sim::TraceCat::Dsm,
+                 "%s services page %llu (%s, %s)",
+                 kernels_[t]->name().c_str(),
+                 static_cast<unsigned long long>(page),
+                 rw == Access::Write ? "GetX" : "GetS",
+                 dirty ? (kind_ == ProtocolKind::Moesi ? "forward"
+                                                       : "writeback")
+                       : "clean");
+        payload = coherence::packOp(grant, page);
+        seq = seq_++ & kSeqMask;
+    }
+    messages_.inc();
+    kernels_[t]->sendMail(
+        kernels_[req]->domainId(),
+        encodeMessage(MsgType::PutExclusive, payload, seq));
+}
+
+// ---------------------------------------------------------------------
+// Release-acquire (RAC).
+// ---------------------------------------------------------------------
+
+sim::Task<void>
+Dsm::accessRac(KernelIdx k, soc::Core &core, std::uint64_t page,
+               Access rw)
+{
+    PageInfo &pi = info(page);
+    Fault &f = pi.faults[k];
+    const KernelCosts &c = costsFor(strong_[k]);
+
+    // Pages are never demoted under release-acquire (invalidation is
+    // line-grain via the log), so translation stays at section grain.
+    const sim::Duration walk =
+        mmus_[k]->translate(page, soc::MapGrain::Section1M);
+    if (walk)
+        co_await core.execTime(walk);
+
+    for (;;) {
+        // Serialise with an acquire already in flight on this page.
+        while (f.outstanding || (serialised() && faulting(pi) != 0)) {
+            core.pinActive();
+            co_await pi.settled->wait();
+            core.unpinActive();
+        }
+        if (isLocallyValid(k, page, rw)) {
+            if (rw == Access::Write) {
+                // Owner write: append the modified line addresses to
+                // this domain's log through the coherent region.
+                rac_->append(k, page);
+                co_await core.execTime(soc_.costs().busAccess);
+            }
+            co_return;
+        }
+
+        // ---- Acquire fault (Table-5 phases). ----
+        stats_[k].faults.inc();
+        K2_TRACE(soc_.engine(), sim::TraceCat::Dsm,
+                 "%s acquires page %llu (%s)",
+                 kernels_[k]->name().c_str(),
+                 static_cast<unsigned long long>(page),
+                 rw == Access::Write ? "W" : "R");
+        f.outstanding = true;
+
+        // No read-tracking penalty: invalidation is push-based via the
+        // writer's log, so the weak MMU never write-protects for reads.
+        const sim::Time t0 = soc_.engine().now();
+        co_await core.execTime(c.faultEntry);
+        const sim::Time t1 = soc_.engine().now();
+
+        co_await core.execTime(c.protocolExec);
+        const sim::Time t2 = soc_.engine().now();
+
+        const KernelIdx w = rac_->writerOf(page);
+        f.awaiting = Directory::bit(w);
+        sendRequest(k, w, page, rw);
+        co_await awaitGrant(pi, k, core, page, rw, true);
+        if (f.abandoned) {
+            f = Fault{};
+            pi.settled->pulse();
+            continue;
+        }
+        const sim::Time t3 = soc_.engine().now();
+
+        // Drain every peer log with pending entries: invalidate the
+        // listed lines locally and merge the writers' clocks. One
+        // acquire freshens the writer's whole backlog, not just the
+        // faulting page.
+        for (KernelIdx j = 0; j < kernels_.size(); ++j) {
+            const std::uint32_t pend =
+                j == k ? 0 : rac_->pendingLines(k, j);
+            if (pend == 0)
+                continue;
+            const sim::Time d0 = soc_.engine().now();
+            rac_->drain(k, j);
+            co_await core.execTime(pend * coherence::kRacLineInvalidate);
+            soc_.engine().spanComplete(d0, tracks_[k], "drain");
+        }
+
+        sim::Duration exit = c.exitRefill;
+        if (rw == Access::Write)
+            exit += mmus_[k]->protectionUpdate(page);
+        co_await core.execTime(exit);
+        const sim::Time t4 = soc_.engine().now();
+
+        if (rw == Access::Write)
+            rac_->takeOwnership(k, page);
+        f.outstanding = false;
+        pi.settled->pulse();
+        recordFault(k, pi, t0, t1, t2, t3, t4);
+
+        if (rw == Access::Write)
+            co_return; // Ownership taken; the write is logged.
+        // Reads re-check freshness: the writer may have released again
+        // while we drained.
+    }
+}
+
+sim::Task<void>
+Dsm::serviceAcquire(KernelIdx writer, KernelIdx req, std::uint64_t page)
+{
+    PageInfo &pi = info(page);
+    co_await bottomHalf(writer);
+
+    soc::Core &core = serviceCore(writer);
+    if (!core.awake())
+        co_await core.ensureAwake();
+
+    // Release: flush the page's dirty lines through the coherent
+    // region so the acquirer's drain observes them.
+    const sim::Time t_start = soc_.engine().now();
+    co_await core.execTime(
+        costsFor(strong_[writer]).serviceBase +
+        kernels_[writer]->domain().flushTime(soc_.pageBytes()));
+    pi.lastServiceTime = soc_.engine().now() - t_start;
+    soc_.engine().spanComplete(t_start, tracks_[writer], "service");
+    K2_TRACE(soc_.engine(), sim::TraceCat::Dsm, "%s releases page %llu",
+             kernels_[writer]->name().c_str(),
+             static_cast<unsigned long long>(page));
+
+    messages_.inc();
+    kernels_[writer]->sendMail(
+        kernels_[req]->domainId(),
+        encodeMessage(MsgType::PutExclusive,
+                      coherence::packOp(RepOp::GrantX, page),
+                      seq_++ & kSeqMask));
+}
+
+// ---------------------------------------------------------------------
+// Mail dispatch, recovery, metrics, snapshots.
+// ---------------------------------------------------------------------
+
+sim::Task<void>
+Dsm::handleMail(KernelIdx to, soc::Mail mail, soc::Core &core)
+{
+    const Message msg = decodeMessage(mail.word);
+    KernelIdx from = kernels_.size();
+    for (KernelIdx i = 0; i < kernels_.size(); ++i) {
+        if (kernels_[i]->domainId() == mail.from)
+            from = i;
+    }
+    K2_ASSERT(from < kernels_.size());
+
+    const std::uint64_t page =
+        legacyWire() ? msg.payload : coherence::pageOf(msg.payload);
+    const std::uint32_t op = coherence::opOf(msg.payload);
+    switch (msg.type) {
+      case MsgType::GetExclusive:
+        // Service as a separate task so the mailbox ISR can keep
+        // draining (the main kernel's bottom-half behaviour); a weak
+        // kernel's zero deferral makes it effectively immediate.
+        if (rac_) {
+            K2_ASSERT(op == static_cast<std::uint32_t>(ReqOp::Acq));
+            soc_.engine().spawn(serviceAcquire(to, from, page));
+        } else {
+            const Access rw = legacyWire() ? unpackRw(msg.seq)
+                : op == static_cast<std::uint32_t>(ReqOp::GetX)
+                    ? Access::Write
+                    : Access::Read;
+            soc_.engine().spawn(serviceGet(to, from, page, rw));
+        }
+        co_return;
+      case MsgType::PutExclusive: {
+        // Grant: wake the spinning requester once every asked kernel
+        // has answered.
+        co_await core.execTime(soc_.costs().busAccess);
+        PageInfo &pi = info(page);
+        Fault &f = pi.faults[to];
+        if (legacyWire()) {
+            f.grantState = Copy::S;
+        } else {
+            switch (static_cast<RepOp>(op)) {
+              case RepOp::GrantS: f.grantState = Copy::S; break;
+              case RepOp::GrantE: f.grantState = Copy::E; break;
+              case RepOp::GrantX: f.grantState = Copy::M; break;
+            }
+        }
+        f.awaiting &= ~Directory::bit(from);
+        if (f.awaiting == 0) {
+            f.grantArrived = true;
+            pi.grant->pulse();
+        }
+        co_return;
+      }
+      default:
+        K2_PANIC("DSM received non-DSM message type %u",
+                 static_cast<unsigned>(msg.type));
+    }
+}
+
+std::vector<std::uint64_t>
+Dsm::reclaimFrom(KernelIdx dead, KernelIdx to)
+{
+    K2_ASSERT(dead < kernels_.size() && to < kernels_.size());
+    K2_ASSERT(dead != to);
+    std::vector<std::uint64_t> changed;
+    if (rac_)
+        changed = rac_->reclaim(dead, to);
+    // Ascending page order: completing a stranded fault pulses its
+    // grant event, and the pulse order decides wakeup FIFO order --
+    // hash order would make recovery runs irreproducible.
+    for (std::uint64_t page : snap::sortedKeys(pages_)) {
+        PageInfo &pi = *pages_.at(page);
+        bool sole = true;
+        if (dir_) {
+            // The page stays with a third kernel that holds a copy, or
+            // that is being granted a page nobody holds any more.
+            Directory::Entry &e = dir_->entry(page);
+            bool held = false;
+            bool granting = false;
+            for (KernelIdx j = 0; j < kernels_.size(); ++j) {
+                if (j == dead || j == to)
+                    continue;
+                held |= e[j] != Copy::I;
+                granting |= pi.faults[j].outstanding;
+            }
+            sole = !held && !(granting && e[dead] == Copy::I &&
+                              e[to] == Copy::I);
+            if (dir_->reclaim(e, dead, to, !sole))
+                changed.push_back(page);
+        }
+        // A fault of the inheritor waiting on a grant from the dead
+        // kernel now owns the page; complete it locally.
+        Fault &f = pi.faults[to];
+        if (sole && f.outstanding && !f.grantArrived) {
+            f.grantState = kind_ == ProtocolKind::ThreeState ? Copy::S
+                                                             : Copy::E;
+            f.awaiting = 0;
+            f.grantArrived = true;
+            pi.grant->pulse();
+        }
+        // Where faults serialise across kernels, the dead kernel's own
+        // fault must not hold up the survivors' faults on this page
+        // until it revives. (A pair's invalidation survivor never waits
+        // on it, and keeps the resend-after-revive recovery path.)
+        Fault &fd = pi.faults[dead];
+        if (serialised() && fd.outstanding && !fd.abandoned) {
+            fd.abandoned = true;
+            fd.awaiting = 0;
+            pi.settled->pulse();
+        }
+    }
+    return changed;
+}
+
+void
+Dsm::registerMetrics(obs::MetricsRegistry &reg) const
+{
+    const std::string prefix = "os.dsm";
     reg.addCounter(prefix + ".messages", messages_);
     reg.addCounter(prefix + ".demotions", demotions_);
     // Only present when the recovery layer enabled retries, so
     // zero-fault metric snapshots keep their exact key set.
     if (retry_.timeout != 0)
         reg.addCounter(prefix + ".retries", retries_);
-    for (KernelIdx k = 0; k < 2; ++k) {
+    for (KernelIdx k = 0; k < kernels_.size(); ++k) {
         const std::string kp = prefix + "." + kernels_[k]->name();
         const FaultStats &st = stats_[k];
         reg.addCounter(kp + ".faults", st.faults);
@@ -137,13 +819,68 @@ Dsm::registerMetrics(obs::MetricsRegistry &reg,
             return static_cast<double>(mmu.tlb().misses());
         });
     }
-    impl_->registerMetrics(reg, prefix);
+    if (kind_ == ProtocolKind::Mesi || kind_ == ProtocolKind::Moesi) {
+        const std::string pp =
+            prefix + "." + coherence::protocolName(kind_);
+        reg.addCounter(pp + ".forwards", forwards_);
+        reg.addCounter(pp + ".writebacks", writebacks_);
+    }
+    if (rac_)
+        rac_->registerMetrics(reg, prefix);
 }
 
-sim::Task<void>
-Dsm::handleMail(KernelIdx to_kernel, Message msg, soc::Core &core)
+void
+Dsm::snapState(snap::Io &io)
 {
-    return impl_->handleMail(to_kernel, msg, core);
+    io.check(kernels_.size(), "Dsm::kernels");
+    for (sim::TrackId t : tracks_)
+        io.check(t, "Dsm::track");
+    io.pod(seq_);
+    io.pod(nextRegionPage_);
+    io.pod(messages_);
+    io.pod(demotions_);
+    io.pod(retries_);
+    io.pod(forwards_);
+    io.pod(writebacks_);
+    for (auto &mmu : mmus_)
+        mmu->snapState(io);
+    for (FaultStats &st : stats_) {
+        io.pod(st.faults);
+        io.pod(st.localFaultUs);
+        io.pod(st.protocolUs);
+        io.pod(st.commUs);
+        io.pod(st.serviceUs);
+        io.pod(st.exitUs);
+        io.pod(st.totalUs);
+    }
+    // Per-page fault state; the page map only ever grows (info()
+    // instantiates on first access), so restore drops entries
+    // instantiated after the capture point -- they are re-instantiated
+    // identically on replay.
+    for (std::uint64_t page : io.keys(pages_)) {
+        auto it = pages_.find(page);
+        if (it == pages_.end())
+            K2_FATAL("snapshot restore: DSM page %llu missing",
+                     static_cast<unsigned long long>(page));
+        PageInfo &pi = *it->second;
+        io.pod(pi.demoted);
+        for (Fault &f : pi.faults) {
+            io.pod(f.outstanding);
+            io.pod(f.upgrade);
+            io.pod(f.raced);
+            io.pod(f.grantArrived);
+            io.pod(f.abandoned);
+            io.pod(f.grantState);
+            io.pod(f.awaiting);
+        }
+        pi.grant->snapState(io);
+        pi.settled->snapState(io);
+        io.pod(pi.lastServiceTime);
+    }
+    if (dir_)
+        dir_->snapState(io);
+    if (rac_)
+        rac_->snapState(io);
 }
 
 } // namespace os

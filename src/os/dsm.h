@@ -1,41 +1,51 @@
 /**
  * @file
- * The K2 software distributed shared memory (paper §6.3).
+ * The K2 software distributed shared memory (paper §6.3), for any
+ * number of coherence domains (§11).
  *
  * The DSM keeps shadowed-service state coherent between the main
- * (strong-domain) and shadow (weak-domain) kernels under sequential
- * consistency, maintaining the one-writer invariant at 4 KB page
- * granularity.
+ * (strong-domain) kernel and the shadow (weak-domain) kernels under
+ * sequential consistency, maintaining the one-writer invariant at 4 KB
+ * page granularity. Kernel 0 is the main kernel; pages are born owned
+ * by it.
  *
  * Default protocol: the paper's simple two-state scheme. Each kernel's
  * copy of a page is Valid or Invalid; before touching an Invalid page
- * a kernel sends GetExclusive to the owner and spins (synchronously --
+ * a kernel sends GetExclusive to the holder and spins (synchronously --
  * interrupt handlers cannot sleep) until PutExclusive arrives; the
- * owner flushes and invalidates the page from its cache before
- * granting. An alternative three-state (MSI) protocol with read
- * sharing is implemented for the §6.3 ablation; it pays the Cortex-M3
- * cascaded-MMU read-tracking penalty on every weak-kernel fault.
+ * holder flushes and invalidates the page from its cache before
+ * granting. Every protocol of the zoo (coherence::ProtocolKind) runs on
+ * the same fault path:
  *
- * The per-page state machine, message verbs and fault-phase cost hooks
- * are a pluggable strategy (src/os/coherence/): beyond the paper's two
- * protocols the registry carries directory MESI/MOESI and a log-based
- * release-acquire protocol, selectable via K2Config::dsmProtocol or
- * the sweep binaries' --dsm= flag. This class remains the facade that
- * owns the platform handles, cost model, Table-5 statistics and
- * metrics, so reports and snapshots are protocol-independent.
+ *  - two-state, MSI, MESI, MOESI: per-kernel copy states in a
+ *    coherence::Directory. A read asks the page's owner, an exclusive
+ *    request asks every other holder, and each asked kernel services
+ *    and grants straight back -- requests go to the holders, never
+ *    broadcast. With two kernels that is always the peer.
+ *  - RAC: log-based release-acquire against the page's last writer
+ *    (coherence::RacState).
  *
- * Asymmetric priorities (favouring the strong domain): the main kernel
- * services GetExclusive in a bottom half, deferring further when
- * loaded; the shadow kernel services requests before any other pending
- * interrupt.
+ * Costs follow the Table 5 calibration by domain class: strong kernels
+ * fault fast and service in a bottom half (deferred further when
+ * loaded); weak kernels fault slowly, service before any other pending
+ * interrupt and, under the read-sharing protocols, pay the cascaded-MMU
+ * read-tracking penalty on every fault. Pages start mapped at 1 MB
+ * section grain and are demoted to 4 KB on their first fault (not under
+ * RAC, whose invalidation is line-grain).
+ *
+ * With more than two kernels, faults on one page also serialise across
+ * kernels: two faulters that need not ask each other would otherwise
+ * both be granted. With two kernels every faulter asks its peer, and
+ * crossing requests resolve in the service path instead.
  */
 
 #ifndef K2_OS_DSM_H
 #define K2_OS_DSM_H
 
-#include <array>
 #include <cstdint>
 #include <memory>
+#include <unordered_map>
+#include <vector>
 
 #include "sim/stats.h"
 #include "sim/sync.h"
@@ -43,7 +53,9 @@
 #include "soc/mmu.h"
 #include "soc/soc.h"
 #include "kern/kernel.h"
+#include "os/coherence/directory.h"
 #include "os/coherence/protocol.h"
+#include "os/coherence/rac.h"
 #include "os/messages.h"
 #include "os/system.h"
 
@@ -61,44 +73,51 @@ class Dsm
     /** Protocol selector (see coherence::ProtocolKind for the zoo). */
     using Protocol = coherence::ProtocolKind;
 
-    /** Per-fault cost constants (Table 5 calibration). */
-    using CostModel = coherence::PairCostModel;
-
     /** Fault-timeout retry policy (recovery layer). */
     using RetryPolicy = coherence::RetryPolicy;
 
-    /** Per-sender fault statistics (the Table 5 breakdown). */
+    /** Per-kernel fault statistics (the Table 5 breakdown). */
     using FaultStats = coherence::FaultStats;
 
     /**
      * @param soc The platform.
-     * @param kernels Main kernel (index 0, strong domain) and shadow
-     *        kernel (index 1, weak domain).
+     * @param kernels One kernel per coherence domain, main (strong)
+     *        first; at most 32.
      * @param num_pages Number of DSM-managed page keys available.
      */
-    Dsm(soc::Soc &soc, std::array<kern::Kernel *, 2> kernels,
+    Dsm(soc::Soc &soc, std::vector<kern::Kernel *> kernels,
         std::uint64_t num_pages, Protocol protocol = Protocol::TwoState);
-    Dsm(soc::Soc &soc, std::array<kern::Kernel *, 2> kernels,
-        std::uint64_t num_pages, Protocol protocol, CostModel costs);
     ~Dsm();
 
-    Protocol protocol() const { return impl_->kind(); }
+    Protocol protocol() const { return kind_; }
 
-    /** Enable/disable the fault-timeout retry (see RetryPolicy). */
+    std::size_t numKernels() const { return kernels_.size(); }
+
+    /**
+     * Enable/disable the fault-timeout retry. A faulter whose grant
+     * times out re-sends its request to the page's *current* holders,
+     * so a fault stranded on a crashed kernel redirects once the page
+     * is reclaimed to a survivor (or the kernel revives).
+     */
     void setRetryPolicy(RetryPolicy p) { retry_ = p; }
 
     /** Grant-timeout retries sent so far. */
     std::uint64_t retries() const { return retries_.value(); }
 
     /**
-     * Crash recovery: make @p owner the exclusive owner of every DSM
-     * page, invalidating the (dead) peer's copies. Faults of @p owner
-     * left waiting on a grant from the dead peer are completed
-     * locally.
+     * Crash recovery: @p dead loses every copy it holds. Pages no
+     * third kernel holds (or is being granted) pass to @p to as sole
+     * holder (RAC: @p to inherits the pages @p dead last wrote), and
+     * faults of @p to stranded waiting on @p dead complete locally.
+     * Faults of other kernels redirect through the retry path.
+     * Where faults serialise across kernels (RAC, or beyond two
+     * kernels), faults @p dead itself had in flight are abandoned:
+     * they stop holding up other kernels' faults on their pages, and
+     * re-fault from scratch once @p dead's domain is back up.
      *
-     * @return Number of pages whose ownership state changed.
+     * @return The pages whose state changed, ascending.
      */
-    std::uint64_t reclaimAll(KernelIdx owner);
+    std::vector<std::uint64_t> reclaimFrom(KernelIdx dead, KernelIdx to);
 
     /** Reserve a range of DSM page keys for a shared region. */
     kern::PageRange allocRegion(std::uint64_t pages);
@@ -114,10 +133,10 @@ class Dsm
                            std::uint64_t page, Access rw);
 
     /**
-     * Mail dispatch: handle a DSM message received by @p to_kernel.
+     * Mail dispatch: handle a DSM message received by @p to.
      * Called from the mailbox ISR.
      */
-    sim::Task<void> handleMail(KernelIdx to_kernel, Message msg,
+    sim::Task<void> handleMail(KernelIdx to, soc::Mail mail,
                                soc::Core &core);
 
     /** @name Introspection for tests and benches. @{ */
@@ -126,14 +145,12 @@ class Dsm
     bool isLocallyValid(KernelIdx kernel, std::uint64_t page,
                         Access rw) const;
 
-    const FaultStats &faultStats(KernelIdx sender) const
-    {
-        return stats_[sender];
-    }
+    /** The page's owner: its M/E/O holder (RAC: its last writer). */
+    KernelIdx ownerOf(std::uint64_t page) const;
 
-    FaultStats &mutableFaultStats(KernelIdx sender)
+    const FaultStats &faultStats(KernelIdx k) const
     {
-        return stats_[sender];
+        return stats_.at(k);
     }
 
     /** Total coherence messages sent. */
@@ -144,19 +161,17 @@ class Dsm
     std::uint64_t pagesDemoted() const { return demotions_.value(); }
 
     /** Per-kernel MMU model (exposed for TLB statistics). */
-    soc::Mmu &mmu(KernelIdx k) { return *mmus_[k]; }
+    soc::Mmu &mmu(KernelIdx k) { return *mmus_.at(k); }
 
     /** @} */
 
     /**
      * Register fault counters, the per-phase Table 5 accumulators and
-     * MMU statistics under "<prefix>.<kernel-name>.*". Protocols
-     * beyond the paper's two add their own counters under
-     * "<prefix>.<proto>.*"; the defaults add none, keeping the legacy
-     * key set exact.
+     * MMU statistics under "os.dsm.<kernel-name>.*". MESI/MOESI and
+     * RAC add their own counters under "os.dsm.<proto>.*"; the paper's
+     * two protocols add none.
      */
-    void registerMetrics(obs::MetricsRegistry &reg,
-                         const std::string &prefix) const;
+    void registerMetrics(obs::MetricsRegistry &reg) const;
 
     /**
      * Capture/restore protocol state: per-page coherence state (pages
@@ -166,22 +181,88 @@ class Dsm
     void snapState(snap::Io &io);
 
   private:
+    /** One kernel's fault in flight on one page. */
+    struct Fault
+    {
+        bool outstanding = false;
+        bool upgrade = false;      //!< Holds a valid copy while asking.
+        bool raced = false;        //!< Copy invalidated mid-fault.
+        bool grantArrived = false; //!< Grant really arrived (vs a
+                                   //!< retry-timer pulse).
+        bool abandoned = false;    //!< Its crashed kernel's pages were
+                                   //!< reclaimed mid-fault.
+        coherence::Copy grantState = coherence::Copy::I;
+        std::uint32_t awaiting = 0; //!< Kernels still owing a grant.
+    };
+
+    struct PageInfo
+    {
+        std::vector<Fault> faults; //!< Indexed by kernel.
+        bool demoted = false;
+        std::unique_ptr<sim::Event> grant;   //!< Pulsed on PutExclusive.
+        std::unique_ptr<sim::Event> settled; //!< Pulsed when a local
+                                             //!< fault fully completes.
+        sim::Duration lastServiceTime = 0;   //!< For attribution only.
+    };
+
+    PageInfo &info(std::uint64_t page);
     KernelIdx idxOf(const kern::Kernel &k) const;
+    std::uint32_t faulting(const PageInfo &pi) const;
+    /** Faults on one page serialise across kernels (RAC acquires
+     *  always; invalidation faults beyond two kernels). */
+    bool serialised() const { return rac_ || kernels_.size() > 2; }
+    /** True while @p k's domain is crashed (per the fault injector). */
+    bool down(KernelIdx k);
+    bool legacyWire() const;
+    void sendRequest(KernelIdx from, KernelIdx to, std::uint64_t page,
+                     Access rw);
+    /** Send @p k's request to the kernels Directory::targets names and
+     *  await a grant from each. */
+    void askHolders(KernelIdx k, std::uint64_t page, Access rw,
+                    bool exclusive);
+    soc::Core &serviceCore(KernelIdx k);
+    sim::Task<void> bottomHalf(KernelIdx k);
+    sim::Task<void> awaitGrant(PageInfo &pi, KernelIdx k,
+                               soc::Core &core, std::uint64_t page,
+                               Access rw, bool exclusive);
+    /** Emit @p k's completed fault as spans and Table-5 samples. */
+    void recordFault(KernelIdx k, const PageInfo &pi, sim::Time t0,
+                     sim::Time t1, sim::Time t2, sim::Time t3,
+                     sim::Time t4);
+
+    /** @name Invalidation protocols (two-state, MSI, MESI, MOESI). @{ */
+    sim::Task<void> accessCopy(KernelIdx k, soc::Core &core,
+                               std::uint64_t page, Access rw);
+    sim::Task<void> serviceGet(KernelIdx t, KernelIdx req,
+                               std::uint64_t page, Access rw);
+    /** @} */
+
+    /** @name Release-acquire (RAC). @{ */
+    sim::Task<void> accessRac(KernelIdx k, soc::Core &core,
+                              std::uint64_t page, Access rw);
+    sim::Task<void> serviceAcquire(KernelIdx writer, KernelIdx req,
+                                   std::uint64_t page);
+    /** @} */
 
     soc::Soc &soc_;
-    std::array<kern::Kernel *, 2> kernels_;
+    std::vector<kern::Kernel *> kernels_;
+    Protocol kind_;
     std::uint64_t numPages_;
     std::uint64_t nextRegionPage_ = 0;
-    CostModel costs_;
-    std::array<std::unique_ptr<soc::Mmu>, 2> mmus_;
-    std::array<FaultStats, 2> stats_;
-    std::array<sim::TrackId, 2> tracks_{}; //!< Per-kernel span tracks.
+    std::vector<char> strong_; //!< Strong-domain kernel (Table 5 class).
+    std::vector<std::unique_ptr<soc::Mmu>> mmus_;
+    std::vector<FaultStats> stats_;
+    std::vector<sim::TrackId> tracks_; //!< Per-kernel span tracks.
+    std::unordered_map<std::uint64_t, std::unique_ptr<PageInfo>> pages_;
     sim::Counter messages_;
     sim::Counter demotions_;
     sim::Counter retries_;
+    sim::Counter forwards_;   //!< MOESI dirty cache-to-cache forwards.
+    sim::Counter writebacks_; //!< Dirty writebacks on service.
     RetryPolicy retry_{};
     std::uint32_t seq_ = 0;
-    std::unique_ptr<coherence::PairProtocol> impl_;
+    std::unique_ptr<coherence::Directory> dir_; //!< All but RAC.
+    std::unique_ptr<coherence::RacState> rac_;  //!< RAC.
 };
 
 } // namespace os

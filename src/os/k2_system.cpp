@@ -34,28 +34,6 @@ class DsmSharedRegion : public SharedRegion
     kern::PageRange keys_;
 };
 
-/** SharedRegion backed by the N-kernel DSM (replicated mode). */
-class NDsmSharedRegion : public SharedRegion
-{
-  public:
-    NDsmSharedRegion(std::string name, NDsm &ndsm, kern::PageRange keys)
-        : SharedRegion(std::move(name), keys.count), ndsm_(ndsm),
-          keys_(keys)
-    {}
-
-    sim::Task<void>
-    touch(kern::Kernel &kern, soc::Core &core, std::uint64_t page_idx,
-          Access rw) override
-    {
-        K2_ASSERT(page_idx < keys_.count);
-        co_await ndsm_.access(kern, core, keys_.first + page_idx, rw);
-    }
-
-  private:
-    NDsm &ndsm_;
-    kern::PageRange keys_;
-};
-
 } // namespace
 
 K2System::K2System(K2Config cfg)
@@ -135,22 +113,13 @@ K2System::K2System(K2Config cfg)
         reliable_->install();
     }
 
-    if (replicas >= 2) {
-        // Shared regions span all kernels through the N-kernel DSM;
-        // grant retries are always on (a replica owner can crash).
-        ndsmR_ = std::make_unique<NDsm>(*soc_, allKernels, cfg_.dsmPages,
-                                        cfg_.dsmProtocol);
-        ndsmR_->setRetryPolicy({cfg_.recovery.dsmRetryTimeout,
-                                cfg_.recovery.dsmRetryMax});
-    } else {
-        dsm_ = std::make_unique<Dsm>(
-            *soc_,
-            std::array<kern::Kernel *, 2>{main_.get(), shadow_.get()},
-            cfg_.dsmPages, cfg_.dsmProtocol, cfg_.dsmCosts);
-        if (armed) {
-            dsm_->setRetryPolicy({cfg_.recovery.dsmRetryTimeout,
-                                  cfg_.recovery.dsmRetryMax});
-        }
+    // Shared regions span every kernel through the DSM. Grant retries
+    // are on whenever recovery is armed (a replica owner can crash).
+    dsm_ = std::make_unique<Dsm>(*soc_, allKernels, cfg_.dsmPages,
+                                 cfg_.dsmProtocol);
+    if (armed) {
+        dsm_->setRetryPolicy({cfg_.recovery.dsmRetryTimeout,
+                              cfg_.recovery.dsmRetryMax});
     }
 
     meta_ = std::make_unique<MetaLevelManager>(
@@ -171,7 +140,7 @@ K2System::K2System(K2Config cfg)
         for (auto &ex : extras_)
             shadows.push_back(ex.get());
         watchdog_ = std::make_unique<Watchdog>(
-            *soc_, *main_, std::move(shadows), dsm_.get(), *irqRouter_,
+            *soc_, *main_, std::move(shadows), *dsm_, *irqRouter_,
             injector_.get(), cfg_.recovery.watchdog);
         // Repeated retransmission without an ack on any channel is the
         // watchdog's crash-suspicion signal. Shadow->main silence also
@@ -190,7 +159,7 @@ K2System::K2System(K2Config cfg)
 
     if (replicas >= 2) {
         group_ = std::make_unique<ReplicaGroup>(
-            *soc_, allKernels, *ndsmR_, *irqRouter_,
+            *soc_, allKernels, *dsm_, *irqRouter_,
             cfg_.recovery.replica);
         watchdog_->setReplicaGroup(group_.get());
     }
@@ -259,10 +228,6 @@ K2System::kernels()
 std::unique_ptr<SharedRegion>
 K2System::createSharedRegion(std::string name, std::uint64_t pages)
 {
-    if (ndsmR_) {
-        return std::make_unique<NDsmSharedRegion>(
-            std::move(name), *ndsmR_, ndsmR_->allocRegion(pages));
-    }
     return std::make_unique<DsmSharedRegion>(std::move(name), *dsm_,
                                              dsm_->allocRegion(pages));
 }
@@ -379,17 +344,14 @@ K2System::dumpState(std::ostream &os)
        << ", K2 "
        << meta_->blocksOwnedBy(MetaLevelManager::BlockOwner::Meta)
        << " of " << meta_->numBlocks() << "\n";
-    if (dsm_) {
-        os << "dsm: " << dsm_->faultStats(0).faults.value()
-           << " main faults, " << dsm_->faultStats(1).faults.value()
-           << " shadow faults, " << dsm_->messagesSent() << " messages, "
-           << dsm_->pagesDemoted() << " pages demoted\n";
-    } else {
-        os << "ndsm: ";
-        for (std::size_t k = 0; k < ndsmR_->numKernels(); ++k)
-            os << ndsmR_->faults(k) << (k + 1 < ndsmR_->numKernels()
-                                            ? " / " : " faults, ");
-        os << ndsmR_->messagesSent() << " messages\n";
+    os << "dsm: ";
+    for (KernelIdx k = 0; k < dsm_->numKernels(); ++k) {
+        os << dsm_->faultStats(k).faults.value() << " "
+           << kernelByIdx(k).name() << " faults, ";
+    }
+    os << dsm_->messagesSent() << " messages, " << dsm_->pagesDemoted()
+       << " pages demoted\n";
+    if (group_) {
         os << "replicas: " << group_->liveReplicas() << "/"
            << group_->numReplicas() << " live, leader "
            << group_->leaderReplica() << ", term " << group_->term()
@@ -419,10 +381,7 @@ K2System::registerMetrics(obs::MetricsRegistry &reg)
 {
     SystemImage::registerMetrics(reg);
 
-    if (dsm_)
-        dsm_->registerMetrics(reg, "os.dsm");
-    if (ndsmR_)
-        ndsmR_->registerMetrics(reg, "os.ndsm");
+    dsm_->registerMetrics(reg);
 
     reg.addCounter("os.nightwatch.suspends", nightWatch_->suspendsSent);
     reg.addCounter("os.nightwatch.resumes", nightWatch_->resumesSent);
@@ -479,12 +438,7 @@ K2System::snapState(snap::Io &io)
     for (auto &ex : extras_)
         ex->snapState(io);
     SystemImage::snapState(io);
-    io.check(dsm_ ? 1 : 0, "K2System::dsm");
-    if (dsm_)
-        dsm_->snapState(io);
-    io.check(ndsmR_ ? 1 : 0, "K2System::ndsm");
-    if (ndsmR_)
-        ndsmR_->snapState(io);
+    dsm_->snapState(io);
     meta_->snapState(io);
     nightWatch_->snapState(io);
     irqRouter_->snapState(io);
@@ -517,10 +471,7 @@ K2System::dispatchMail(KernelIdx to, soc::Mail mail, soc::Core &core)
     switch (msg.type) {
       case MsgType::GetExclusive:
       case MsgType::PutExclusive:
-        if (ndsmR_)
-            co_await ndsmR_->handleMail(to, mail, core);
-        else
-            co_await dsm_->handleMail(to, msg, core);
+        co_await dsm_->handleMail(to, mail, core);
         co_return;
       case MsgType::SuspendNw:
       case MsgType::AckSuspendNw:

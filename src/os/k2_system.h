@@ -32,7 +32,6 @@
 #include "os/io_mapper.h"
 #include "os/irq_router.h"
 #include "os/meta_manager.h"
-#include "os/ndsm.h"
 #include "os/nightwatch.h"
 #include "os/reliable_mail.h"
 #include "os/replica.h"
@@ -51,7 +50,6 @@ struct K2Config
 {
     soc::SocConfig soc = soc::omap4Config();
     Dsm::Protocol dsmProtocol = Dsm::Protocol::TwoState;
-    Dsm::CostModel dsmCosts{};
     /** DSM page keys available to shadowed services. */
     std::uint64_t dsmPages = 65536;
     /** Page blocks handed to each kernel at boot. */
@@ -65,7 +63,7 @@ struct K2Config
      * paper's two-kernel K2, byte-identical to a build without the
      * replica layer. N >= 2 boots the shadow kernel on N weak domains
      * (the weak domain spec is cloned for the extras), arms the
-     * recovery plane, backs shared regions with the N-kernel DSM, and
+     * recovery plane, spans the DSM across every kernel, and
      * routes shadowed requests through the ReplicaGroup: leader
      * serving, fan-out majority voting, bully re-election on crash.
      */
@@ -128,10 +126,8 @@ class K2System : public SystemImage
     /** @name K2 components. @{ */
     sim::Engine &ownedEngine() { return engine_; }
     kern::Kernel &shadowKernel() { return *shadow_; }
+    /** The DSM backing shared regions, spanning every kernel. */
     Dsm &dsm() { return *dsm_; }
-    /** The N-kernel DSM backing shared regions when replicas >= 2
-     *  (null otherwise; dsm() is unavailable in that mode). */
-    NDsm *replicaDsm() { return ndsmR_.get(); }
     MetaLevelManager &meta() { return *meta_; }
     NightWatch &nightWatch() { return *nightWatch_; }
     IrqRouter &irqRouter() { return *irqRouter_; }
@@ -176,7 +172,6 @@ class K2System : public SystemImage
     /** Shadow replicas 2..N on cloned weak domains (replicas >= 2). */
     std::vector<std::unique_ptr<kern::Kernel>> extras_;
     std::unique_ptr<Dsm> dsm_;
-    std::unique_ptr<NDsm> ndsmR_;
     std::unique_ptr<MetaLevelManager> meta_;
     std::unique_ptr<NightWatch> nightWatch_;
     std::unique_ptr<IrqRouter> irqRouter_;

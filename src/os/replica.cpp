@@ -11,19 +11,19 @@ namespace os {
 
 ReplicaGroup::ReplicaGroup(soc::Soc &soc,
                            std::vector<kern::Kernel *> kernels,
-                           NDsm &ndsm, IrqRouter &router, Config cfg)
-    : soc_(soc), kernels_(std::move(kernels)), ndsm_(ndsm),
+                           Dsm &dsm, IrqRouter &router, Config cfg)
+    : soc_(soc), kernels_(std::move(kernels)), dsm_(dsm),
       router_(router), cfg_(cfg)
 {
     K2_ASSERT(kernels_.size() >= 3); // coordinator + at least 2 replicas
     K2_ASSERT(numReplicas() <= 15);  // leader index fits 4 bits.
-    K2_ASSERT(ndsm_.numKernels() == kernels_.size());
+    K2_ASSERT(dsm_.numKernels() == kernels_.size());
     alive_.assign(numReplicas(), 1);
     epoch_.assign(numReplicas(), 0);
     // Only exists with replicas >= 2, so this track never appears in
     // unreplicated traces.
     track_ = soc_.engine().addTrack("os.replica");
-    stateRange_ = ndsm_.allocRegion(cfg_.statePages);
+    stateRange_ = dsm_.allocRegion(cfg_.statePages);
 }
 
 std::size_t
@@ -237,7 +237,7 @@ sim::Task<void>
 ReplicaGroup::resyncState(std::size_t leader)
 {
     // The new leader pulls the replicated service state through the
-    // N-DSM from wherever the surviving majority holds it -- real
+    // DSM from wherever the surviving majority holds it -- real
     // GetExclusive/PutExclusive traffic charged on the leader's core.
     ++resyncing_;
     const sim::Time t0 = soc_.engine().now();
@@ -246,8 +246,8 @@ ReplicaGroup::resyncState(std::size_t leader)
     if (!core.awake())
         co_await core.ensureAwake();
     for (std::uint64_t i = 0; i < stateRange_.count; ++i) {
-        co_await ndsm_.access(lead, core, stateRange_.first + i,
-                              Access::Write);
+        co_await dsm_.access(lead, core, stateRange_.first + i,
+                             Access::Write);
     }
     resyncs_.inc();
     resyncPages_.inc(stateRange_.count);
@@ -297,7 +297,7 @@ ReplicaGroup::onReplicaDown(std::size_t r)
         (liveReplicas() > 0) ? leader_ + 1 : 0;
     if (heirKernel != r + 1) {
         const std::vector<std::uint64_t> moved =
-            ndsm_.reclaimFrom(r + 1, heirKernel);
+            dsm_.reclaimFrom(r + 1, heirKernel);
         co_await chargeSends(*kernels_[heirKernel],
                              1 + moved.size());
         K2_TRACE(soc_.engine(), sim::TraceCat::Nw,

@@ -23,8 +23,8 @@
  *    answer Control/ElectionOk, and the lowest live index -- the one
  *    whose challenge set is empty -- wins and broadcasts
  *    Control/Coordinator carrying `leader << 12 | term`);
- *  - the new leader inherits the dead replica's N-DSM pages
- *    (NDsm::reclaimFrom) and re-syncs the group's shared state region
+ *  - the new leader inherits the dead replica's DSM pages
+ *    (Dsm::reclaimFrom) and re-syncs the group's shared state region
  *    through the DSM from the surviving majority (real GetExclusive /
  *    PutExclusive traffic, charged on the leader's core);
  *  - routing degrades to the strong domain *only if quorum is lost*
@@ -52,7 +52,7 @@
 #include "kern/kernel.h"
 #include "os/irq_router.h"
 #include "os/messages.h"
-#include "os/ndsm.h"
+#include "os/dsm.h"
 #include "sim/stats.h"
 
 namespace k2 {
@@ -74,7 +74,7 @@ class ReplicaGroup
         /** Time for Election/ElectionOk mail to fly before the bully
          *  round is scored. */
         sim::Duration electionSettle = sim::usec(300);
-        /** N-DSM pages of replicated service state the new leader
+        /** DSM pages of replicated service state the new leader
          *  re-syncs after an election. */
         std::uint64_t statePages = 32;
     };
@@ -83,11 +83,11 @@ class ReplicaGroup
      * @param soc Platform.
      * @param kernels Strong coordinator kernel first, then one kernel
      *                per replica (weak domains), in kernel-index order.
-     * @param ndsm The N-kernel DSM spanning exactly @p kernels.
+     * @param dsm The DSM spanning exactly @p kernels.
      * @param router Interrupt router, degraded on quorum loss.
      */
     ReplicaGroup(soc::Soc &soc, std::vector<kern::Kernel *> kernels,
-                 NDsm &ndsm, IrqRouter &router, Config cfg);
+                 Dsm &dsm, IrqRouter &router, Config cfg);
 
     std::size_t numReplicas() const { return kernels_.size() - 1; }
     /** Majority size: floor(N/2) + 1. */
@@ -186,7 +186,7 @@ class ReplicaGroup
 
     soc::Soc &soc_;
     std::vector<kern::Kernel *> kernels_;
-    NDsm &ndsm_;
+    Dsm &dsm_;
     IrqRouter &router_;
     Config cfg_;
     sim::TrackId track_{};

@@ -11,7 +11,7 @@ namespace k2 {
 namespace os {
 
 Watchdog::Watchdog(soc::Soc &soc, kern::Kernel &main,
-                   std::vector<kern::Kernel *> shadows, Dsm *dsm,
+                   std::vector<kern::Kernel *> shadows, Dsm &dsm,
                    IrqRouter &router, fault::FaultInjector *inj,
                    Config cfg)
     : soc_(soc), main_(main), shadows_(std::move(shadows)), dsm_(dsm),
@@ -109,10 +109,10 @@ Watchdog::recover(std::size_t r)
         //    restart.
         router_.setDegraded(true);
 
-        // 2. Re-own every DSM page, completing stranded main-side
-        //    faults. Charged as main-kernel work proportional to the
-        //    pages whose mappings are rewritten.
-        const std::uint64_t reclaimed = dsm_->reclaimAll(0);
+        // 2. Re-own the dead kernel's DSM pages, completing stranded
+        //    main-side faults. Charged as main-kernel work
+        //    proportional to the pages whose mappings are rewritten.
+        const std::uint64_t reclaimed = dsm_.reclaimFrom(r + 1, 0).size();
         pagesReclaimed_.inc(reclaimed);
         soc::Core &core = main_.domain().core(0);
         if (!core.awake())

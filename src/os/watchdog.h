@@ -16,10 +16,10 @@
  *     cost) while the shadow is down. With a ReplicaGroup attached
  *     this step is delegated: the group elects a new leader among the
  *     surviving replicas and degrades only if quorum is lost;
- *  2. re-own: take exclusive DSM ownership of every page
- *     (Dsm::reclaimAll), completing main-side faults stranded waiting
- *     on grants from the dead kernel (group mode: the new leader
- *     inherits the dead replica's pages instead);
+ *  2. re-own: the main kernel takes over the dead kernel's DSM pages
+ *     (Dsm::reclaimFrom), completing main-side faults stranded waiting
+ *     on grants from it (group mode: the new leader inherits the dead
+ *     replica's pages instead);
  *  3. restart: after the configured restart latency, revive the
  *     domain, reset its interrupt controller, and replay the shadow
  *     kernel's recorded IRQ registrations (its device/service setup);
@@ -74,11 +74,12 @@ class Watchdog
     /**
      * @param shadows The watched weak-domain kernels, in replica order
      *                (replica r = kernel index r + 1).
-     * @param dsm The two-kernel DSM to re-own pages on, or null when a
-     *            ReplicaGroup handles page inheritance instead.
+     * @param dsm The DSM to re-own pages on (main is kernel 0, replica
+     *            r is kernel r + 1); unused when a ReplicaGroup
+     *            handles page inheritance instead.
      */
     Watchdog(soc::Soc &soc, kern::Kernel &main,
-             std::vector<kern::Kernel *> shadows, Dsm *dsm,
+             std::vector<kern::Kernel *> shadows, Dsm &dsm,
              IrqRouter &router, fault::FaultInjector *inj, Config cfg);
 
     /** Attach the replica group recovery is delegated to. */
@@ -129,7 +130,7 @@ class Watchdog
     soc::Soc &soc_;
     kern::Kernel &main_;
     std::vector<kern::Kernel *> shadows_;
-    Dsm *dsm_;
+    Dsm &dsm_;
     IrqRouter &router_;
     fault::FaultInjector *injector_;
     ReplicaGroup *group_ = nullptr;

@@ -25,6 +25,7 @@
 #ifndef K2_SNAP_IO_H
 #define K2_SNAP_IO_H
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <deque>
@@ -36,6 +37,20 @@
 
 namespace k2 {
 namespace snap {
+
+/** The keys of map @p m in ascending order (hash maps iterate in an
+ *  order that would make snapshots and recovery irreproducible). */
+template <typename Map>
+std::vector<typename Map::key_type>
+sortedKeys(const Map &m)
+{
+    std::vector<typename Map::key_type> ks;
+    ks.reserve(m.size());
+    for (const auto &kv : m)
+        ks.push_back(kv.first);
+    std::sort(ks.begin(), ks.end());
+    return ks;
+}
 
 class Io
 {
@@ -125,6 +140,32 @@ class Io
             s.resize(static_cast<std::size_t>(n));
         if (n > 0)
             bytes(s.data(), static_cast<std::size_t>(n));
+    }
+
+    /**
+     * The keys of a grow-only map (entries are instantiated on first
+     * use and never erased), in ascending order. Capture stores them;
+     * restore erases the entries instantiated after the capture point
+     * and returns the stored keys, whose entries the caller streams.
+     */
+    template <typename Map>
+    std::vector<typename Map::key_type>
+    keys(Map &m)
+    {
+        const std::vector<typename Map::key_type> ks = sortedKeys(m);
+        std::vector<typename Map::key_type> stored(
+            static_cast<std::size_t>(count(ks.size())));
+        if (capturing())
+            stored = ks;
+        for (auto &k : stored)
+            pod(k);
+        if (restoring()) {
+            for (const auto &k : ks) {
+                if (!std::binary_search(stored.begin(), stored.end(), k))
+                    m.erase(k);
+            }
+        }
+        return stored;
     }
 
     template <typename T>

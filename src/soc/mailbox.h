@@ -100,6 +100,9 @@ class MailboxNet
      */
     void setFaultInjector(fault::FaultInjector *inj) { fault_ = inj; }
 
+    /** The attached fault injector, or nullptr. */
+    fault::FaultInjector *faultInjector() const { return fault_; }
+
     /**
      * Capture/restore receive FIFOs and traffic counters. In-flight
      * mail is impossible at quiescence (every posted word has a pending

@@ -101,13 +101,6 @@ metricMean(const obs::MetricsSnapshot &d, const std::string &name)
     return v->mean();
 }
 
-std::uint64_t
-metricCount(const obs::MetricsSnapshot &d, const std::string &name)
-{
-    const obs::MetricValue *v = d.find(name);
-    return v ? v->count : 0;
-}
-
 } // namespace
 
 std::string
@@ -115,13 +108,26 @@ episodeReport(const obs::MetricsSnapshot &delta)
 {
     std::string out;
 
-    // Table 5-style per-fault breakdown, one row per faulting kernel.
+    // Table 5-style per-fault breakdown, one row per kernel the DSM
+    // registered ("os.dsm.<kernel>.faults"), in name order.
     if (delta.hasPrefix("os.dsm.")) {
         Table t({"kernel", "faults", "entry us", "protocol us", "comm us",
                  "service us", "exit us", "total us"});
-        for (const char *k : {"main", "shadow"}) {
-            const std::string p = std::string("os.dsm.") + k;
-            t.addRow({k, std::to_string(metricCount(delta, p + ".faults")),
+        const std::string kPrefix = "os.dsm.";
+        const std::string kFaults = ".faults";
+        for (const auto &[name, v] : delta.values()) {
+            if (name.size() <= kPrefix.size() + kFaults.size() ||
+                name.rfind(kPrefix, 0) != 0 ||
+                name.compare(name.size() - kFaults.size(),
+                             kFaults.size(), kFaults) != 0)
+                continue;
+            const std::string k = name.substr(
+                kPrefix.size(),
+                name.size() - kPrefix.size() - kFaults.size());
+            if (k.find('.') != std::string::npos)
+                continue;
+            const std::string p = kPrefix + k;
+            t.addRow({k, std::to_string(v.count),
                       fmt(metricMean(delta, p + ".fault_entry_us")),
                       fmt(metricMean(delta, p + ".protocol_us")),
                       fmt(metricMean(delta, p + ".comm_us")),
@@ -193,8 +199,7 @@ episodeReport(const obs::MetricsSnapshot &delta)
         for (const auto &[name, v] : delta.values()) {
             if (name.rfind("fault.injected.", 0) != 0 &&
                 name.rfind("os.recovery.", 0) != 0 &&
-                name.rfind("os.replica.", 0) != 0 &&
-                name.rfind("os.ndsm.", 0) != 0)
+                name.rfind("os.replica.", 0) != 0)
                 continue;
             if (v.kind == obs::MetricValue::Kind::Counter && v.count) {
                 t.addRow({name, std::to_string(v.count)});

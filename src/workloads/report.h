@@ -51,7 +51,8 @@ void banner(const std::string &title);
 /**
  * Render a per-episode report from a metrics delta (the diff of two
  * registry snapshots bracketing the episode): the Table 5-style DSM
- * fault breakdown, the per-rail energy split, and a service-activity
+ * fault breakdown (one row per kernel the DSM registered), the
+ * per-rail energy split, and a service-activity
  * summary. Sections whose metrics are absent (e.g. "os.dsm.*" on the
  * baseline) are omitted.
  */

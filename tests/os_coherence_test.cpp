@@ -2,10 +2,12 @@
  * @file
  * Protocol-conformance suite for the DSM coherence zoo
  * (os/coherence/): every registered protocol must uphold the same
- * contracts on the two-kernel pair (os/dsm.h) and the N-domain DSM
- * (os/ndsm.h) -- one writer at a time, read-your-writes, completion
- * of every access under seeded multi-domain fuzz with shadow-data
- * verification, deterministic replay, and snapshot roundtrip.
+ * contracts at every kernel count -- one writer at a time,
+ * read-your-writes, completion of every access under seeded fuzz with
+ * shadow-data verification, serialised concurrent writers, crash
+ * reclaim, and snapshot roundtrip. Each contract runs twice: on the
+ * two-kernel K2System (PairConformanceTest) and on a standalone
+ * three-domain DSM (NdsmConformanceTest).
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +18,6 @@
 
 #include "os/coherence/protocol.h"
 #include "os/k2_system.h"
-#include "os/ndsm.h"
 #include "sim/random.h"
 #include "snap/snapshot.h"
 
@@ -27,313 +28,380 @@ using kern::Thread;
 using kern::ThreadKind;
 using sim::Task;
 
-/** Two-kernel pair (K2System) under one zoo protocol. */
-class PairConformanceTest
-    : public ::testing::TestWithParam<coherence::ProtocolKind>
+/**
+ * One DSM under one zoo protocol: with two kernels, the K2System's own
+ * (main + shadow); with more, a standalone engine on the three-domain
+ * SoC.
+ */
+class Harness
 {
-  protected:
-    PairConformanceTest()
+  public:
+    Harness(coherence::ProtocolKind proto, std::size_t n)
     {
-        K2Config cfg;
-        cfg.soc.costs.inactiveTimeout = 0;
-        cfg.dsmProtocol = GetParam();
-        k2sys = std::make_unique<K2System>(cfg);
-        proc = &k2sys->createProcess("app");
+        if (n == 2) {
+            K2Config cfg;
+            cfg.soc.costs.inactiveTimeout = 0;
+            cfg.dsmProtocol = proto;
+            sys_ = std::make_unique<K2System>(cfg);
+            proc_ = &sys_->createProcess("app");
+            kernels_ = sys_->kernels();
+            dsm_ = &sys_->dsm();
+            eng_ = &sys_->ownedEngine();
+            return;
+        }
+        auto cfg = soc::threeDomainConfig();
+        cfg.costs.inactiveTimeout = 0;
+        eng_ = &ownEng_;
+        soc_ = std::make_unique<soc::Soc>(ownEng_, cfg);
+        for (soc::DomainId d = 0; d < n; ++d) {
+            owned_.push_back(std::make_unique<kern::Kernel>(
+                *soc_, d, "k" + std::to_string(d)));
+            owned_.back()->boot();
+            kernels_.push_back(owned_.back().get());
+        }
+        ownDsm_ = std::make_unique<Dsm>(*soc_, kernels_, 64, proto);
+        dsm_ = ownDsm_.get();
+        for (std::size_t i = 0; i < n; ++i) {
+            kernels_[i]->setMailHandler(
+                [this, i](soc::Mail m, soc::Core &c) {
+                    return dsm_->handleMail(i, m, c);
+                });
+        }
+        ownProc_ = std::make_unique<kern::Process>(1, "app");
+        proc_ = ownProc_.get();
     }
 
+    std::size_t n() const { return kernels_.size(); }
+    Dsm &dsm() { return *dsm_; }
+    sim::Engine &engine() { return *eng_; }
+
+    std::uint64_t faults(std::size_t k) const
+    {
+        return dsm_->faultStats(k).faults.value();
+    }
+
+    /** Start @p body on kernel @p k (does not run the engine). */
+    void
+    spawn(std::size_t k, Thread::Body body)
+    {
+        kernels_[k]->spawnThread(proc_, "t", ThreadKind::Normal,
+                                 std::move(body));
+    }
+
+    /** Run one access from kernel @p k to completion. */
     void
     touch(std::size_t k, std::uint64_t page, Access rw)
     {
-        kern::Kernel &kern =
-            k == 0 ? k2sys->mainKernel() : k2sys->shadowKernel();
-        kern.spawnThread(proc, "t", ThreadKind::Normal,
-                         [this, page, rw](Thread &t) -> Task<void> {
-                             co_await k2sys->dsm().access(
-                                 t.kernel(), t.core(), page, rw);
-                         });
-        k2sys->ownedEngine().run();
+        spawn(k, [this, page, rw](Thread &t) -> Task<void> {
+            co_await dsm_->access(t.kernel(), t.core(), page, rw);
+        });
+        eng_->run();
     }
 
-    std::unique_ptr<K2System> k2sys;
-    kern::Process *proc = nullptr;
+    void
+    snapState(snap::Io &io)
+    {
+        if (sys_) {
+            sys_->snapState(io);
+            return;
+        }
+        eng_->snapState(io);
+        soc_->snapState(io);
+        for (auto &k : owned_)
+            k->snapState(io);
+        dsm_->snapState(io);
+        proc_->snapState(io);
+    }
+
+  private:
+    std::unique_ptr<K2System> sys_;
+    sim::Engine ownEng_;
+    std::unique_ptr<soc::Soc> soc_;
+    std::vector<std::unique_ptr<kern::Kernel>> owned_;
+    std::unique_ptr<Dsm> ownDsm_;
+    std::unique_ptr<kern::Process> ownProc_;
+    std::vector<kern::Kernel *> kernels_;
+    kern::Process *proc_ = nullptr;
+    Dsm *dsm_ = nullptr;
+    sim::Engine *eng_ = nullptr;
 };
 
-TEST_P(PairConformanceTest, OneWriterInvariantUnderPingPong)
-{
-    Dsm &dsm = k2sys->dsm();
-    for (int round = 0; round < 8; ++round) {
-        const std::size_t w = static_cast<std::size_t>(round % 2);
-        touch(w, 3, Access::Write);
-        // Exactly the last writer holds write permission.
-        EXPECT_TRUE(dsm.isLocallyValid(w, 3, Access::Write));
-        EXPECT_FALSE(dsm.isLocallyValid(1 - w, 3, Access::Write));
-    }
-}
-
-TEST_P(PairConformanceTest, ReadYourWrites)
-{
-    Dsm &dsm = k2sys->dsm();
-    touch(1, 5, Access::Write);
-    const std::uint64_t faults = dsm.faultStats(1).faults.value();
-    // A kernel always sees its own writes without another fault.
-    touch(1, 5, Access::Read);
-    touch(1, 5, Access::Read);
-    EXPECT_EQ(dsm.faultStats(1).faults.value(), faults);
-    EXPECT_TRUE(dsm.isLocallyValid(1, 5, Access::Read));
-}
-
-TEST_P(PairConformanceTest, WriterRereadAfterPeerRead)
-{
-    Dsm &dsm = k2sys->dsm();
-    touch(0, 7, Access::Write);
-    touch(1, 7, Access::Read); // peer pulls the page
-    const std::uint64_t faults = dsm.faultStats(0).faults.value();
-    touch(0, 7, Access::Read);
-    if (GetParam() == coherence::ProtocolKind::TwoState) {
-        // Migratory: the peer's read took exclusive ownership, so the
-        // writer's re-read faults the page back.
-        EXPECT_EQ(dsm.faultStats(0).faults.value(), faults + 1);
-    } else {
-        // Read-sharing (MSI/MESI/MOESI keep the writer a sharer; RAC
-        // keeps it the log owner): the re-read stays local.
-        EXPECT_EQ(dsm.faultStats(0).faults.value(), faults);
-    }
-}
-
-TEST_P(PairConformanceTest, SnapshotRoundtripReplaysIdentically)
-{
-    // Warm up with a little traffic so protocol state (sharer
-    // bitmaps, logs, vector clocks) is non-trivial at capture.
-    touch(1, 2, Access::Write);
-    touch(0, 2, Access::Read);
-
-    auto replay = [this] {
-        for (int r = 0; r < 10; ++r) {
-            touch(static_cast<std::size_t>(r % 2),
-                  static_cast<std::uint64_t>(r % 3),
-                  r % 4 == 0 ? Access::Read : Access::Write);
-        }
-    };
-
-    const snap::Snapshot base = snap::Snapshot::of(*k2sys);
-    replay();
-    const snap::Snapshot first = snap::Snapshot::of(*k2sys);
-    base.restore(*k2sys);
-    EXPECT_EQ(base, snap::Snapshot::of(*k2sys));
-    replay();
-    // Restored state replays to bit-identical protocol state,
-    // statistics, clocks, and RNG streams.
-    EXPECT_EQ(first, snap::Snapshot::of(*k2sys));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Zoo, PairConformanceTest,
-    ::testing::ValuesIn(coherence::allProtocols()),
-    [](const ::testing::TestParamInfo<coherence::ProtocolKind> &info) {
-        return coherence::protocolName(info.param);
-    });
-
-/** Three-domain NDsm under one zoo protocol. */
-class NdsmConformanceTest
+/** The contracts, run on @p N kernels under the parameter protocol. */
+template <std::size_t N>
+class Conformance
     : public ::testing::TestWithParam<coherence::ProtocolKind>
 {
   protected:
-    struct Fixture
+    Conformance() : h(GetParam(), N) {}
+
+    void
+    oneWriterUnderPingPong()
     {
-        sim::Engine eng;
-        std::unique_ptr<soc::Soc> soc;
-        std::vector<std::unique_ptr<kern::Kernel>> kernels;
-        std::unique_ptr<NDsm> ndsm;
-        std::unique_ptr<kern::Process> proc;
-
-        explicit Fixture(coherence::ProtocolKind proto,
-                         std::uint64_t pages = 64)
-        {
-            auto cfg = soc::threeDomainConfig();
-            cfg.costs.inactiveTimeout = 0;
-            soc = std::make_unique<soc::Soc>(eng, cfg);
-            std::vector<kern::Kernel *> raw;
-            for (soc::DomainId d = 0; d < 3; ++d) {
-                kernels.push_back(std::make_unique<kern::Kernel>(
-                    *soc, d, "k" + std::to_string(d)));
-                kernels.back()->boot();
-                raw.push_back(kernels.back().get());
+        for (int round = 0; round < 8; ++round) {
+            const std::size_t w = static_cast<std::size_t>(round) % N;
+            h.touch(w, 3, Access::Write);
+            // Exactly the last writer holds write permission.
+            for (std::size_t k = 0; k < N; ++k) {
+                EXPECT_EQ(h.dsm().isLocallyValid(k, 3, Access::Write),
+                          k == w);
             }
-            ndsm = std::make_unique<NDsm>(*soc, raw, pages, proto);
-            for (std::size_t i = 0; i < 3; ++i) {
-                kernels[i]->setMailHandler(
-                    [this, i](soc::Mail m, soc::Core &c) {
-                        return ndsm->handleMail(i, m, c);
-                    });
-            }
-            proc = std::make_unique<kern::Process>(1, "app");
         }
-
-        sim::Engine &engine() { return eng; }
-
-        void
-        snapState(snap::Io &io)
-        {
-            eng.snapState(io);
-            soc->snapState(io);
-            for (auto &k : kernels)
-                k->snapState(io);
-            ndsm->snapState(io);
-            proc->snapState(io);
-        }
-
-        void
-        touch(std::size_t k, std::uint64_t page, Access rw)
-        {
-            kernels[k]->spawnThread(
-                proc.get(), "t", ThreadKind::Normal,
-                [this, k, page, rw](Thread &t) -> Task<void> {
-                    co_await ndsm->access(t.kernel(), t.core(), page,
-                                          rw);
-                });
-            eng.run();
-        }
-    };
-};
-
-TEST_P(NdsmConformanceTest, WriteOwnershipRingAcrossThreeDomains)
-{
-    Fixture fx(GetParam());
-    for (int r = 0; r < 9; ++r) {
-        const std::size_t k = static_cast<std::size_t>(r % 3);
-        fx.touch(k, 11, Access::Write);
-        // One writer: the directory (or log) records the last writer.
-        EXPECT_EQ(fx.ndsm->ownerOf(11), k);
     }
-    // Every kernel but the initial owner faulted at least once.
-    EXPECT_GE(fx.ndsm->faults(1), 1u);
-    EXPECT_GE(fx.ndsm->faults(2), 1u);
-}
 
-TEST_P(NdsmConformanceTest, SeededFuzzCompletesAndKeepsOneWriter)
-{
-    for (const std::uint64_t seed : {7ull, 101ull, 4242ull}) {
-        Fixture fx(GetParam());
-        sim::Rng rng(seed);
-        // Shadow data model: each page's value is the step number of
-        // its last write, and the page's most recent accessor is
-        // recorded. Every completed write must make the writer the
-        // page's owner/log writer, and a read by the most recent
-        // accessor must be served from its own fresh copy -- no
-        // fault, no protocol messages. (That is the strongest freshness
-        // property every zoo member shares: read-your-writes, plus
-        // read-your-reads for the migratory protocol, where a peer's
-        // read would have stolen exclusive ownership.)
-        std::map<std::uint64_t, std::uint64_t> truth;
-        std::map<std::uint64_t, std::size_t> last_accessor;
-        int issued = 0;
-        int completed = 0;
-        for (int step = 0; step < 150; ++step) {
-            const auto k = static_cast<std::size_t>(rng.below(3));
-            const std::uint64_t page = rng.below(8);
-            const Access rw =
-                rng.below(4) == 0 ? Access::Read : Access::Write;
-            const bool own_read = rw == Access::Read &&
-                                  last_accessor.count(page) &&
-                                  last_accessor[page] == k;
-            const std::uint64_t faults0 = fx.ndsm->faults(k);
-            const std::uint64_t msgs0 = fx.ndsm->messagesSent();
-            ++issued;
-            fx.kernels[k]->spawnThread(
-                fx.proc.get(), "t", ThreadKind::Normal,
-                [&, k, page, rw, step](Thread &t) -> Task<void> {
-                    co_await fx.ndsm->access(t.kernel(), t.core(),
-                                             page, rw);
+    void
+    readYourWrites()
+    {
+        h.touch(1, 5, Access::Write);
+        const std::uint64_t faults = h.faults(1);
+        // A kernel always sees its own writes without another fault.
+        h.touch(1, 5, Access::Read);
+        h.touch(1, 5, Access::Read);
+        EXPECT_EQ(h.faults(1), faults);
+        EXPECT_TRUE(h.dsm().isLocallyValid(1, 5, Access::Read));
+    }
+
+    void
+    writerRereadAfterPeerRead()
+    {
+        h.touch(0, 7, Access::Write);
+        h.touch(1, 7, Access::Read); // peer pulls the page
+        const std::uint64_t faults = h.faults(0);
+        h.touch(0, 7, Access::Read);
+        if (GetParam() == coherence::ProtocolKind::TwoState) {
+            // Migratory: the peer's read took exclusive ownership, so
+            // the writer's re-read faults the page back.
+            EXPECT_EQ(h.faults(0), faults + 1);
+        } else {
+            // Read-sharing (MSI/MESI/MOESI keep the writer a sharer;
+            // RAC keeps it the log owner): the re-read stays local.
+            EXPECT_EQ(h.faults(0), faults);
+        }
+    }
+
+    void
+    writeOwnershipRing()
+    {
+        for (int r = 0; r < 9; ++r) {
+            const std::size_t k = static_cast<std::size_t>(r) % N;
+            h.touch(k, 11, Access::Write);
+            // One writer: the directory (or log) records the last one.
+            EXPECT_EQ(h.dsm().ownerOf(11), k);
+        }
+        // Every kernel but the initial owner faulted at least once.
+        for (std::size_t k = 1; k < N; ++k)
+            EXPECT_GE(h.faults(k), 1u);
+    }
+
+    void
+    seededFuzzKeepsOneWriter()
+    {
+        for (const std::uint64_t seed : {7ull, 101ull, 4242ull}) {
+            Harness fx(GetParam(), N);
+            sim::Rng rng(seed);
+            // Shadow data model: each page's value is the step number
+            // of its last write, and the page's most recent accessor
+            // is recorded. Every completed write must make the writer
+            // the page's owner/log writer, and a read by the most
+            // recent accessor must be served from its own fresh copy
+            // -- no fault, no protocol messages. (That is the
+            // strongest freshness property every zoo member shares:
+            // read-your-writes, plus read-your-reads for the migratory
+            // protocol, where a peer's read would have stolen
+            // exclusive ownership.)
+            std::map<std::uint64_t, std::uint64_t> truth;
+            std::map<std::uint64_t, std::size_t> last_accessor;
+            int issued = 0;
+            int completed = 0;
+            for (int step = 0; step < 150; ++step) {
+                const auto k = static_cast<std::size_t>(rng.below(N));
+                const std::uint64_t page = rng.below(8);
+                const Access rw =
+                    rng.below(4) == 0 ? Access::Read : Access::Write;
+                const bool own_read = rw == Access::Read &&
+                                      last_accessor.count(page) &&
+                                      last_accessor[page] == k;
+                const std::uint64_t faults0 = fx.faults(k);
+                const std::uint64_t msgs0 = fx.dsm().messagesSent();
+                ++issued;
+                fx.spawn(k, [&, k, page, rw, step](Thread &t)
+                                -> Task<void> {
+                    co_await fx.dsm().access(t.kernel(), t.core(), page,
+                                             rw);
                     if (rw == Access::Write) {
-                        truth[page] =
-                            static_cast<std::uint64_t>(step);
-                        EXPECT_EQ(fx.ndsm->ownerOf(page), k);
+                        truth[page] = static_cast<std::uint64_t>(step);
+                        EXPECT_EQ(fx.dsm().ownerOf(page), k);
                     }
                     last_accessor[page] = k;
                     ++completed;
                 });
-            fx.eng.run();
-            if (own_read) {
-                EXPECT_EQ(fx.ndsm->faults(k), faults0)
-                    << "seed " << seed << " step " << step;
-                EXPECT_EQ(fx.ndsm->messagesSent(), msgs0);
+                fx.engine().run();
+                if (own_read) {
+                    EXPECT_EQ(fx.faults(k), faults0)
+                        << "seed " << seed << " step " << step;
+                    EXPECT_EQ(fx.dsm().messagesSent(), msgs0);
+                }
             }
+            EXPECT_EQ(completed, issued) << "seed " << seed;
+            // 2 protocol messages per simple transfer; fan-out to
+            // several sharers adds more but stays bounded.
+            std::uint64_t faults = 0;
+            for (std::size_t k = 0; k < N; ++k)
+                faults += fx.faults(k);
+            EXPECT_LE(fx.dsm().messagesSent(), 6 * faults + 8);
         }
-        EXPECT_EQ(completed, issued) << "seed " << seed;
-        // 2 protocol messages per simple transfer; directory fan-out
-        // adds invalidations but stays bounded.
-        std::uint64_t faults = 0;
-        for (std::size_t k = 0; k < 3; ++k)
-            faults += fx.ndsm->faults(k);
-        EXPECT_LE(fx.ndsm->messagesSent(), 6 * faults + 8);
     }
-}
 
-TEST_P(NdsmConformanceTest, ConcurrentWritersSerialise)
-{
-    Fixture fx(GetParam());
-    int done = 0;
-    for (const std::size_t k : {0u, 1u, 2u}) {
-        fx.kernels[k]->spawnThread(
-            fx.proc.get(), "w", ThreadKind::Normal,
-            [&fx, &done](Thread &t) -> Task<void> {
-                co_await fx.ndsm->access(t.kernel(), t.core(), 23,
-                                         Access::Write);
+    void
+    concurrentWritersSerialise()
+    {
+        int done = 0;
+        for (std::size_t k = 0; k < N; ++k) {
+            h.spawn(k, [this, &done](Thread &t) -> Task<void> {
+                co_await h.dsm().access(t.kernel(), t.core(), 23,
+                                        Access::Write);
                 ++done;
             });
+        }
+        h.engine().run();
+        EXPECT_EQ(done, static_cast<int>(N));
+        const std::size_t owner = h.dsm().ownerOf(23);
+        ASSERT_LT(owner, N);
+        for (std::size_t k = 0; k < N; ++k) {
+            EXPECT_EQ(h.dsm().isLocallyValid(k, 23, Access::Write),
+                      k == owner);
+        }
     }
-    fx.eng.run();
-    EXPECT_EQ(done, 3);
-    EXPECT_LT(fx.ndsm->ownerOf(23), 3u);
+
+    void
+    reclaimMovesOwnershipToSurvivor()
+    {
+        // Kernel 1 dies holding pages 4 and 9; a bystander's page 30
+        // (the last kernel's, or the main kernel's with two) stays.
+        const std::size_t bystander = N > 2 ? N - 1 : 0;
+        h.touch(1, 4, Access::Write);
+        h.touch(1, 9, Access::Write);
+        h.touch(bystander, 30, Access::Write);
+        const auto moved = h.dsm().reclaimFrom(1, 0);
+        ASSERT_EQ(moved.size(), 2u);
+        EXPECT_EQ(moved[0], 4u);
+        EXPECT_EQ(moved[1], 9u);
+        EXPECT_EQ(h.dsm().ownerOf(4), 0u);
+        EXPECT_EQ(h.dsm().ownerOf(9), 0u);
+        EXPECT_EQ(h.dsm().ownerOf(30), bystander);
+        // The survivors keep making progress on the reclaimed pages.
+        h.touch(N - 1, 4, Access::Write);
+        EXPECT_EQ(h.dsm().ownerOf(4), N - 1);
+    }
+
+    void
+    snapshotRoundtripReplaysIdentically()
+    {
+        // Warm up with a little traffic so protocol state (copy
+        // states, logs, vector clocks) is non-trivial at capture.
+        // The reader is never the writer (the main kernel with two).
+        const std::size_t reader = N > 2 ? N - 1 : 0;
+        h.touch(1, 2, Access::Write);
+        h.touch(reader, 2, Access::Read);
+
+        auto replay = [this] {
+            for (int r = 0; r < 12; ++r) {
+                h.touch(static_cast<std::size_t>(r) % N,
+                        static_cast<std::uint64_t>(r % 4),
+                        r % 3 == 0 ? Access::Read : Access::Write);
+            }
+        };
+
+        const snap::Snapshot base = snap::Snapshot::of(h);
+        replay();
+        const snap::Snapshot first = snap::Snapshot::of(h);
+        base.restore(h);
+        EXPECT_EQ(base, snap::Snapshot::of(h));
+        replay();
+        // Restored state replays to bit-identical protocol state,
+        // statistics, clocks, and RNG streams.
+        EXPECT_EQ(first, snap::Snapshot::of(h));
+    }
+
+    Harness h;
+};
+
+using PairConformanceTest = Conformance<2>;
+using NdsmConformanceTest = Conformance<3>;
+
+TEST_P(PairConformanceTest, OneWriterInvariantUnderPingPong)
+{
+    oneWriterUnderPingPong();
+}
+TEST_P(NdsmConformanceTest, OneWriterInvariantUnderPingPong)
+{
+    oneWriterUnderPingPong();
 }
 
+TEST_P(PairConformanceTest, ReadYourWrites) { readYourWrites(); }
+TEST_P(NdsmConformanceTest, ReadYourWrites) { readYourWrites(); }
+
+TEST_P(PairConformanceTest, WriterRereadAfterPeerRead)
+{
+    writerRereadAfterPeerRead();
+}
+TEST_P(NdsmConformanceTest, WriterRereadAfterPeerRead)
+{
+    writerRereadAfterPeerRead();
+}
+
+TEST_P(PairConformanceTest, WriteOwnershipRing) { writeOwnershipRing(); }
+TEST_P(NdsmConformanceTest, WriteOwnershipRingAcrossThreeDomains)
+{
+    writeOwnershipRing();
+}
+
+TEST_P(PairConformanceTest, SeededFuzzCompletesAndKeepsOneWriter)
+{
+    seededFuzzKeepsOneWriter();
+}
+TEST_P(NdsmConformanceTest, SeededFuzzCompletesAndKeepsOneWriter)
+{
+    seededFuzzKeepsOneWriter();
+}
+
+TEST_P(PairConformanceTest, ConcurrentWritersSerialise)
+{
+    concurrentWritersSerialise();
+}
+TEST_P(NdsmConformanceTest, ConcurrentWritersSerialise)
+{
+    concurrentWritersSerialise();
+}
+
+TEST_P(PairConformanceTest, ReclaimMovesOwnershipToSurvivor)
+{
+    reclaimMovesOwnershipToSurvivor();
+}
 TEST_P(NdsmConformanceTest, ReclaimMovesOwnershipToSurvivor)
 {
-    Fixture fx(GetParam());
-    fx.touch(1, 4, Access::Write);
-    fx.touch(1, 9, Access::Write);
-    fx.touch(2, 30, Access::Write);
-    const auto moved = fx.ndsm->reclaimFrom(1, 0);
-    ASSERT_EQ(moved.size(), 2u);
-    EXPECT_EQ(moved[0], 4u);
-    EXPECT_EQ(moved[1], 9u);
-    EXPECT_EQ(fx.ndsm->ownerOf(4), 0u);
-    EXPECT_EQ(fx.ndsm->ownerOf(9), 0u);
-    EXPECT_EQ(fx.ndsm->ownerOf(30), 2u);
-    // The survivors keep making progress on the reclaimed pages.
-    fx.touch(2, 4, Access::Write);
-    EXPECT_EQ(fx.ndsm->ownerOf(4), 2u);
+    reclaimMovesOwnershipToSurvivor();
 }
 
+TEST_P(PairConformanceTest, SnapshotRoundtripReplaysIdentically)
+{
+    snapshotRoundtripReplaysIdentically();
+}
 TEST_P(NdsmConformanceTest, SnapshotRoundtripReplaysIdentically)
 {
-    Fixture fx(GetParam());
-    fx.touch(1, 2, Access::Write);
-    fx.touch(2, 2, Access::Read);
-
-    auto replay = [&fx] {
-        for (int r = 0; r < 12; ++r) {
-            fx.touch(static_cast<std::size_t>(r % 3),
-                     static_cast<std::uint64_t>(r % 4),
-                     r % 3 == 0 ? Access::Read : Access::Write);
-        }
-    };
-
-    const snap::Snapshot base = snap::Snapshot::of(fx);
-    replay();
-    const snap::Snapshot first = snap::Snapshot::of(fx);
-    base.restore(fx);
-    EXPECT_EQ(base, snap::Snapshot::of(fx));
-    replay();
-    EXPECT_EQ(first, snap::Snapshot::of(fx));
+    snapshotRoundtripReplaysIdentically();
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Zoo, NdsmConformanceTest,
-    ::testing::ValuesIn(coherence::allProtocols()),
+const auto kProtocolName =
     [](const ::testing::TestParamInfo<coherence::ProtocolKind> &info) {
-        return coherence::protocolName(info.param);
-    });
+        return std::string(coherence::protocolName(info.param));
+    };
+
+INSTANTIATE_TEST_SUITE_P(Zoo, PairConformanceTest,
+                         ::testing::ValuesIn(coherence::allProtocols()),
+                         kProtocolName);
+INSTANTIATE_TEST_SUITE_P(Zoo, NdsmConformanceTest,
+                         ::testing::ValuesIn(coherence::allProtocols()),
+                         kProtocolName);
 
 } // namespace
 } // namespace k2::os

@@ -1,13 +1,21 @@
 /**
  * @file
  * Tests for the K2 software DSM: two-state protocol, one-writer
- * invariant, Table 5 latency shape, asymmetric priorities, and the
- * three-state (MSI) alternative.
+ * invariant, Table 5 latency shape, asymmetric priorities, the
+ * three-state (MSI) alternative, and the same engine across three
+ * coherence domains (the §11 extension): ownership transfer among
+ * three kernels, serialisation of concurrent faults, the grant-retry
+ * backoff, crash reclaim mid-fault, and randomized property sweeps.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "fault/injector.h"
 #include "os/k2_system.h"
+#include "sim/random.h"
 
 namespace k2::os {
 namespace {
@@ -261,6 +269,352 @@ TEST_F(MsiDsmTest, WeakKernelPaysReadTrackPenalty)
     }
     // Shadow-sender faults cost more than the two-state baseline 48us.
     EXPECT_GT(dsm.faultStats(1).totalUs.mean(), 60.0);
+}
+
+/** @p n kernels on their own SoC (strong first, then weak domains)
+ *  sharing one DSM. */
+struct Domains
+{
+    sim::Engine eng;
+    std::unique_ptr<soc::Soc> soc;
+    std::vector<std::unique_ptr<kern::Kernel>> kernels;
+    std::unique_ptr<Dsm> dsm;
+    std::unique_ptr<kern::Process> proc;
+
+    explicit Domains(std::size_t n, std::uint64_t pages = 4096,
+                     Dsm::Protocol proto = Dsm::Protocol::TwoState)
+    {
+        auto cfg = n == 3 ? soc::threeDomainConfig() : soc::omap4Config();
+        cfg.costs.inactiveTimeout = 0;
+        soc = std::make_unique<soc::Soc>(eng, cfg);
+        std::vector<kern::Kernel *> raw;
+        for (soc::DomainId d = 0; d < n; ++d) {
+            kernels.push_back(std::make_unique<kern::Kernel>(
+                *soc, d, "k" + std::to_string(d)));
+            kernels.back()->boot();
+            raw.push_back(kernels.back().get());
+        }
+        dsm = std::make_unique<Dsm>(*soc, raw, pages, proto);
+        // Route DSM mail on every kernel.
+        for (std::size_t i = 0; i < n; ++i) {
+            kernels[i]->setMailHandler(
+                [this, i](soc::Mail m, soc::Core &c) {
+                    return dsm->handleMail(i, m, c);
+                });
+        }
+        proc = std::make_unique<kern::Process>(1, "app");
+    }
+
+    /** Start a write of @p page from kernel @p k. */
+    void
+    spawnWrite(std::size_t k, std::uint64_t page)
+    {
+        kernels[k]->spawnThread(
+            proc.get(), "t", ThreadKind::Normal,
+            [this, page](Thread &t) -> Task<void> {
+                co_await dsm->access(t.kernel(), t.core(), page,
+                                     Access::Write);
+            });
+    }
+
+    /** Run a write of @p page from kernel @p k to completion. */
+    void
+    touch(std::size_t k, std::uint64_t page)
+    {
+        spawnWrite(k, page);
+        eng.run();
+    }
+
+    std::uint64_t faults(std::size_t k) const
+    {
+        return dsm->faultStats(k).faults.value();
+    }
+};
+
+class NDsmTest : public ::testing::Test, public Domains
+{
+  protected:
+    NDsmTest() : Domains(3) {}
+};
+
+TEST_F(NDsmTest, ThreeDomainConfigIsValid)
+{
+    EXPECT_EQ(soc->numDomains(), 3u);
+    EXPECT_EQ(soc->domain(soc::kHubDomain).spec().core.name,
+              "Cortex-M0");
+    // The hub is even weaker and lower power than the M3.
+    EXPECT_LT(soc->domain(soc::kHubDomain).spec().core.points[0].activeMw,
+              soc->domain(soc::kWeakDomain).spec().core.points.back()
+                  .activeMw);
+}
+
+TEST_F(NDsmTest, OwnershipMovesAmongThreeKernels)
+{
+    EXPECT_EQ(dsm->ownerOf(5), 0u);
+    touch(1, 5);
+    EXPECT_EQ(dsm->ownerOf(5), 1u);
+    touch(2, 5);
+    EXPECT_EQ(dsm->ownerOf(5), 2u);
+    touch(0, 5);
+    EXPECT_EQ(dsm->ownerOf(5), 0u);
+    // Each move was one fault of the requester.
+    EXPECT_EQ(faults(1), 1u);
+    EXPECT_EQ(faults(2), 1u);
+    EXPECT_EQ(faults(0), 1u);
+    // 2 messages (Get + Put) per transfer.
+    EXPECT_EQ(dsm->messagesSent(), 6u);
+}
+
+TEST_F(NDsmTest, OwnerAccessIsFree)
+{
+    touch(2, 9);
+    const auto before = faults(2);
+    touch(2, 9);
+    touch(2, 9);
+    EXPECT_EQ(faults(2), before);
+}
+
+TEST_F(NDsmTest, RequestGoesDirectlyToOwnerNotBroadcast)
+{
+    touch(1, 3); // owner: kernel 1
+    const auto msgs = dsm->messagesSent();
+    touch(2, 3); // kernel 2 requests from kernel 1 directly
+    EXPECT_EQ(dsm->messagesSent(), msgs + 2);
+}
+
+TEST_F(NDsmTest, ConcurrentFaultsFromTwoKernelsSerialise)
+{
+    int done = 0;
+    for (const std::size_t k : {1u, 2u}) {
+        kernels[k]->spawnThread(
+            proc.get(), "f", ThreadKind::Normal,
+            [this, &done](Thread &t) -> Task<void> {
+                co_await dsm->access(t.kernel(), t.core(), 17,
+                                     Access::Write);
+                ++done;
+            });
+    }
+    eng.run();
+    // Both writes completed, one after the other.
+    EXPECT_EQ(done, 2);
+    EXPECT_EQ(faults(1), 1u);
+    EXPECT_EQ(faults(2), 1u);
+    // Final owner is one of the two requesters, the only writer.
+    const std::size_t owner = dsm->ownerOf(17);
+    EXPECT_NE(owner, 0u);
+    for (std::size_t k = 0; k < 3; ++k)
+        EXPECT_EQ(dsm->isLocallyValid(k, 17, Access::Write), k == owner);
+}
+
+TEST_F(NDsmTest, FaultLatencyComparableToTwoKernelDsm)
+{
+    // The structure is unchanged for N domains (§11): a weak kernel's
+    // fault against the strong kernel costs the same, phase by phase,
+    // with or without a third domain on the SoC.
+    Domains pair(2);
+    for (int round = 0; round < 12; ++round) {
+        const std::size_t k = static_cast<std::size_t>(round % 2);
+        pair.touch(k, 21);
+        touch(k, 21);
+    }
+    for (std::size_t k = 0; k < 2; ++k) {
+        const Dsm::FaultStats &two = pair.dsm->faultStats(k);
+        const Dsm::FaultStats &three = dsm->faultStats(k);
+        EXPECT_EQ(three.faults.value(), two.faults.value());
+        EXPECT_DOUBLE_EQ(three.localFaultUs.mean(),
+                         two.localFaultUs.mean());
+        EXPECT_DOUBLE_EQ(three.protocolUs.mean(), two.protocolUs.mean());
+        EXPECT_DOUBLE_EQ(three.commUs.mean(), two.commUs.mean());
+        EXPECT_DOUBLE_EQ(three.serviceUs.mean(), two.serviceUs.mean());
+        EXPECT_DOUBLE_EQ(three.exitUs.mean(), two.exitUs.mean());
+        EXPECT_DOUBLE_EQ(three.totalUs.mean(), two.totalUs.mean());
+    }
+    EXPECT_GT(dsm->faultStats(1).totalUs.mean(), 25.0);
+    EXPECT_LT(dsm->faultStats(1).totalUs.mean(), 120.0);
+
+    // The hub (Cortex-M0) trading a page with the M3 faults in the
+    // same ~50 us ballpark.
+    for (int round = 0; round < 12; ++round)
+        touch(1 + static_cast<std::size_t>(round % 2), 22);
+    EXPECT_EQ(faults(2), 6u);
+    EXPECT_GT(dsm->faultStats(2).totalUs.mean(), 25.0);
+    EXPECT_LT(dsm->faultStats(2).totalUs.mean(), 120.0);
+}
+
+TEST_F(NDsmTest, RegionAllocationDisjoint)
+{
+    const auto a = dsm->allocRegion(10);
+    const auto b = dsm->allocRegion(10);
+    EXPECT_EQ(b.first, a.end());
+}
+
+TEST_F(NDsmTest, RetryBacksOffToTheCap)
+{
+    // Kernel 2 owns the page, then goes silent: it drops every DSM
+    // request. Only the retry timeout is armed, so the resend gaps
+    // double from it up to the policy's default 4 ms cap.
+    touch(2, 8);
+    kernels[2]->setMailHandler(
+        [](soc::Mail, soc::Core &) -> Task<void> { co_return; });
+    Dsm::RetryPolicy policy;
+    policy.timeout = sim::usec(100);
+    dsm->setRetryPolicy(policy);
+    ASSERT_EQ(policy.maxTimeout, sim::msec(4));
+
+    spawnWrite(1, 8);
+    std::vector<sim::Time> resends;
+    const sim::Time horizon = eng.now() + sim::msec(20);
+    while (eng.now() < horizon) {
+        const std::uint64_t before = dsm->retries();
+        eng.run(eng.now() + sim::usec(1));
+        if (dsm->retries() != before)
+            resends.push_back(eng.now());
+    }
+    ASSERT_GE(resends.size(), 8u);
+    std::vector<sim::Duration> gaps;
+    for (std::size_t i = 1; i < resends.size(); ++i)
+        gaps.push_back(resends[i] - resends[i - 1]);
+    EXPECT_EQ(gaps[0], sim::usec(200));
+    EXPECT_EQ(gaps[1], sim::usec(400));
+    EXPECT_EQ(gaps[2], sim::usec(800));
+    EXPECT_EQ(gaps[3], sim::usec(1600));
+    EXPECT_EQ(gaps[4], sim::usec(3200));
+    for (std::size_t i = 5; i < gaps.size(); ++i)
+        EXPECT_EQ(gaps[i], sim::msec(4)) << "gap " << i;
+    // The owner never answered: kernel 1 is still waiting.
+    EXPECT_FALSE(dsm->isLocallyValid(1, 8, Access::Write));
+}
+
+TEST(NDsmRecovery, ReclaimUnblocksPagesTheDeadKernelWasFaultingOn)
+{
+    // Kernel 1 crashes while its write fault on a page owned by
+    // another kernel is in flight; once its pages are reclaimed,
+    // kernel 0's write to the page must not wait for kernel 1 to
+    // revive.
+    for (const std::size_t n : {2u, 3u})
+    for (const Dsm::Protocol proto : coherence::allProtocols()) {
+        SCOPED_TRACE(std::string(coherence::protocolName(proto)) + " N=" +
+                     std::to_string(n));
+        Domains d(n, 64, proto);
+        d.touch(n > 2 ? 2 : 0, 8); // The main kernel with two.
+        fault::FaultPlan plan;
+        fault::FaultSpec crash;
+        crash.kind = fault::FaultKind::DomainCrash;
+        crash.domain = 1;
+        crash.at = d.eng.now();
+        plan.add(crash);
+        fault::FaultInjector inj(d.eng, plan);
+        d.soc->attachFaultInjector(&inj);
+        Dsm::RetryPolicy policy;
+        policy.timeout = sim::usec(100);
+        d.dsm->setRetryPolicy(policy);
+
+        bool done[2] = {false, false};
+        auto write = [&](std::size_t k) {
+            d.kernels[k]->spawnThread(
+                d.proc.get(), "w", ThreadKind::Normal,
+                [&d, k, &done](Thread &t) -> Task<void> {
+                    co_await d.dsm->access(t.kernel(), t.core(), 8,
+                                           Access::Write);
+                    done[k] = true;
+                });
+        };
+        write(1);
+        d.eng.run(d.eng.now() + sim::msec(1));
+        ASSERT_FALSE(done[1]); // Its request was lost with its domain.
+
+        d.dsm->reclaimFrom(1, 0);
+        write(0);
+        d.eng.run(d.eng.now() + sim::msec(5));
+        EXPECT_TRUE(done[0]);
+        EXPECT_FALSE(done[1]);
+        for (std::size_t k = 0; k < n; ++k) {
+            EXPECT_EQ(d.dsm->isLocallyValid(k, 8, Access::Write),
+                      k == 0);
+        }
+
+        // Revived, kernel 1 faults the page afresh and becomes its
+        // writer.
+        inj.revive(1);
+        d.eng.run(d.eng.now() + sim::msec(20));
+        EXPECT_TRUE(done[1]);
+        for (std::size_t k = 0; k < n; ++k) {
+            EXPECT_EQ(d.dsm->isLocallyValid(k, 8, Access::Write),
+                      k == 1);
+        }
+        d.soc->attachFaultInjector(nullptr);
+    }
+}
+
+/** Property: random access sequences keep exactly one owner per page
+ *  and never lose a request. */
+class NDsmPropertyTest : public ::testing::TestWithParam<std::uint64_t>
+{};
+
+TEST_P(NDsmPropertyTest, RandomTrafficKeepsOneOwner)
+{
+    Domains d(3, 64);
+    sim::Rng rng(GetParam());
+    int completed = 0;
+    int issued = 0;
+    for (int step = 0; step < 120; ++step) {
+        const auto k = static_cast<std::size_t>(rng.below(3));
+        const auto page = rng.below(8);
+        ++issued;
+        d.kernels[k]->spawnThread(
+            d.proc.get(), "t", ThreadKind::Normal,
+            [&, k, page](Thread &t) -> Task<void> {
+                co_await d.dsm->access(t.kernel(), t.core(), page,
+                                       Access::Write);
+                EXPECT_EQ(d.dsm->ownerOf(page), k);
+                ++completed;
+            });
+        d.eng.run();
+    }
+    EXPECT_EQ(completed, issued);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, NDsmPropertyTest,
+                         ::testing::Values(11, 23, 47));
+
+TEST(ReplicatedDsm, EveryKernelFaultsThroughOneDsm)
+{
+    // With three shadow replicas the one DSM spans all four kernels;
+    // dsm() serves every one of them.
+    K2Config cfg;
+    cfg.soc.costs.inactiveTimeout = 0;
+    cfg.replicas = 3;
+    K2System sys(cfg);
+    kern::Process &proc = sys.createProcess("app");
+    Dsm &dsm = sys.dsm();
+    ASSERT_EQ(dsm.numKernels(), 4u);
+    const kern::PageRange region = dsm.allocRegion(4);
+    const std::vector<kern::Kernel *> all = sys.kernels();
+    ASSERT_EQ(all[2]->name(), "shadow2");
+
+    // main, shadow, shadow2 take turns writing every page.
+    for (std::size_t k = 0; k < 3; ++k) {
+        all[k]->spawnThread(
+            &proc, "w", ThreadKind::Normal,
+            [&dsm, region](Thread &t) -> Task<void> {
+                for (std::uint64_t p = 0; p < region.count; ++p) {
+                    co_await dsm.access(t.kernel(), t.core(),
+                                        region.first + p,
+                                        Access::Write);
+                }
+            });
+        sys.ownedEngine().run();
+        for (std::uint64_t p = 0; p < region.count; ++p) {
+            for (std::size_t j = 0; j < all.size(); ++j) {
+                EXPECT_EQ(dsm.isLocallyValid(j, region.first + p,
+                                             Access::Write),
+                          j == k)
+                    << "page " << p << " kernel " << j;
+            }
+        }
+    }
+    EXPECT_EQ(dsm.faultStats(1).faults.value(), region.count);
+    EXPECT_EQ(dsm.faultStats(2).faults.value(), region.count);
 }
 
 } // namespace

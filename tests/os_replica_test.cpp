@@ -22,6 +22,7 @@
 #include "obs/metrics.h"
 #include "os/replica.h"
 #include "os/watchdog.h"
+#include "workloads/report.h"
 #include "sim/log.h"
 #include "workloads/sweep.h"
 #include "workloads/testbed.h"
@@ -200,6 +201,20 @@ TEST(ReliableMailBackoff, PinsExponentialSchedule)
     EXPECT_EQ(tb.k2()->reliableMail()->giveups(), 0u);
 }
 
+TEST(Replica, EpisodeReportListsEveryDsmKernel)
+{
+    // The DSM fault breakdown has one row per kernel the DSM spans.
+    os::K2Config cfg;
+    cfg.replicas = 3;
+    auto tb = wl::Testbed::makeK2(cfg);
+    obs::MetricsRegistry reg;
+    tb.registerMetrics(reg);
+    const std::string report = wl::episodeReport(reg.snapshot());
+    for (const char *row : {"| main ", "| shadow ", "| shadow2 ",
+                            "| shadow3 "})
+        EXPECT_NE(report.find(row), std::string::npos) << row;
+}
+
 // ---------------------------------------------------------------------
 // Fan-out and voting under no faults.
 // ---------------------------------------------------------------------
@@ -211,7 +226,7 @@ TEST(Replica, FanoutAndUnanimousVotes)
     cfg.replicas = 3;
     auto tb = wl::Testbed::makeK2(cfg);
     ASSERT_NE(tb.k2()->replicaGroup(), nullptr);
-    ASSERT_NE(tb.k2()->replicaDsm(), nullptr);
+    EXPECT_EQ(tb.k2()->dsm().numKernels(), 4u);
     EXPECT_EQ(tb.k2()->replicas(), 3u);
     EXPECT_EQ(tb.sys().kernels().size(), 4u);
 
@@ -244,7 +259,7 @@ TEST(Replica, FanoutAndUnanimousVotes)
     const obs::MetricsSnapshot snap = reg.snapshot();
     EXPECT_EQ(counterOf(snap, "os.replica.requests"), 5u);
     EXPECT_EQ(counterOf(snap, "os.replica.votes"), 15u);
-    EXPECT_NE(snap.find("os.ndsm.messages"), nullptr);
+    EXPECT_NE(snap.find("os.dsm.messages"), nullptr);
 }
 
 // ---------------------------------------------------------------------
@@ -595,7 +610,7 @@ TEST(ReplicaSweep, ByteIdenticalAcrossJobCounts)
     EXPECT_EQ(serial, replicaSweep(13));
     for (const auto &cell : serial) {
         EXPECT_NE(cell.find("os.replica.requests"), std::string::npos);
-        EXPECT_NE(cell.find("os.ndsm."), std::string::npos);
+        EXPECT_NE(cell.find("os.dsm."), std::string::npos);
     }
 }
 
