@@ -1,5 +1,7 @@
 #include "kern/kernel.h"
 
+#include <algorithm>
+
 #include "sim/log.h"
 #include "snap/io.h"
 
@@ -30,18 +32,10 @@ Kernel::snapState(snap::Io &io)
     io.pod(booted_);
     io.check(irqLog_.size(), "Kernel::irqLog");
 
-    // Thread table: prune to the captured prefix. Threads spawned
-    // after the capture point are workload bodies that have run to
-    // completion (Done and reaped) by the time the system re-quiesces;
-    // the boot-time daemons of the prefix persist.
-    std::uint64_t n = io.count(threads_.size());
-    if (io.restoring()) {
-        K2_ASSERT(n <= threads_.size());
-        for (std::size_t i = static_cast<std::size_t>(n);
-             i < threads_.size(); ++i)
-            K2_ASSERT(threads_[i]->done());
-        threads_.resize(static_cast<std::size_t>(n));
-    }
+    // Thread table: Done threads are reaped as they finish, so a
+    // quiescent instance of the captured system holds exactly the
+    // captured live threads.
+    io.check(threads_.size(), "Kernel::threads");
     for (auto &t : threads_) {
         io.check(t->tid(), "Kernel::thread");
         t->snapState(io);
@@ -99,10 +93,20 @@ Kernel::spawnThread(Process *proc, std::string name, ThreadKind kind,
         *this, proc, soc_.allocThreadId(), std::move(name), kind,
         std::move(body)));
     Thread *t = threads_.back().get();
-    if (proc)
-        proc->addThread(t);
+    if (proc && kind == ThreadKind::NightWatch)
+        proc->noteNightWatch();
     sched_->makeReady(*t);
     return t;
+}
+
+void
+Kernel::reap(Thread &t)
+{
+    t.reap();
+    auto it = std::find_if(threads_.begin(), threads_.end(),
+                           [&t](const auto &p) { return p.get() == &t; });
+    K2_ASSERT(it != threads_.end());
+    threads_.erase(it);
 }
 
 void

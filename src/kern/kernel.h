@@ -69,7 +69,9 @@ class Kernel
      * @param name Thread name.
      * @param kind Normal or NightWatch.
      * @param body The thread's simulated code.
-     * @return Borrowed pointer; the kernel owns the thread.
+     * @return Borrowed pointer; the kernel owns the thread and frees
+     *         it when the scheduler reaps it after its body returns,
+     *         so the pointer is valid only until then.
      */
     Thread *spawnThread(Process *proc, std::string name, ThreadKind kind,
                         Thread::Body body);
@@ -139,21 +141,29 @@ class Kernel
 
     /** @} */
 
-    /** Threads created so far (for tests / teardown). */
+    /**
+     * The live threads, in spawn order: a thread is listed from
+     * spawnThread until its body returns and the scheduler reaps it.
+     */
     const std::vector<std::unique_ptr<Thread>> &threads() const
     {
         return threads_;
     }
 
     /**
-     * Capture/restore the kernel: the thread table (pruned back to the
-     * captured prefix; post-capture threads must already be Done and
-     * reaped), every thread's semantic state, the scheduler, and the
-     * page allocator.
+     * Capture/restore the kernel: the thread table (the restore target
+     * must hold the same live threads), every thread's semantic state,
+     * the scheduler, and the page allocator.
      */
     void snapState(snap::Io &io);
 
   private:
+    friend class Scheduler;
+
+    /** Destroy a Done thread's frame, drop it from the table and free
+     *  it. */
+    void reap(Thread &t);
+
     sim::Task<void> mailboxIsr(soc::Core &core);
 
     soc::Soc &soc_;

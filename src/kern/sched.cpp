@@ -4,6 +4,7 @@
 
 #include "sim/log.h"
 #include "snap/io.h"
+#include "kern/kernel.h"
 
 namespace k2 {
 namespace kern {
@@ -287,7 +288,7 @@ Scheduler::coreLoop(soc::Core &core)
             break;
           case Thread::State::Done:
             noteBlockedOrDone(*t);
-            t->reap();
+            t->kernel().reap(*t);
             break;
           case Thread::State::Running:
             K2_PANIC("thread '%s' parked while Running",

@@ -22,6 +22,7 @@
 
 #include <deque>
 #include <functional>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 

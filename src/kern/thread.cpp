@@ -10,14 +10,6 @@
 namespace k2 {
 namespace kern {
 
-std::size_t
-Process::numNightWatch() const
-{
-    return static_cast<std::size_t>(
-        std::count_if(threads_.begin(), threads_.end(),
-                      [](const Thread *t) { return t->isNightWatch(); }));
-}
-
 void
 Thread::exitCritical()
 {
@@ -32,19 +24,13 @@ void
 Process::snapState(snap::Io &io)
 {
     io.check(pid_, "Process::pid");
-    std::uint64_t n = io.count(threads_.size());
-    if (io.restoring()) {
-        K2_ASSERT(n <= threads_.size());
-        threads_.resize(static_cast<std::size_t>(n));
-    }
-    for (Thread *t : threads_)
-        io.check(t->tid(), "Process::thread");
+    io.pod(hasNightWatch_);
 }
 
 Thread::Thread(Kernel &kernel, Process *proc, Tid tid, std::string name,
                ThreadKind kind, Body body)
     : kernel_(kernel), process_(proc), tid_(tid), name_(std::move(name)),
-      kind_(kind), body_(std::move(body)), doneEvent_(kernel.engine())
+      kind_(kind), body_(std::move(body))
 {
     // Start the wrapper coroutine immediately; it runs to the first
     // park() so the thread is dispatchable before the constructor
@@ -101,7 +87,6 @@ Thread::snapState(snap::Io &io)
     // Frame positions are structural: record their shape only.
     io.check(parked_ ? 1 : 0, "Thread::parked");
     io.check(schedHandle_ ? 1 : 0, "Thread::schedHandle");
-    doneEvent_.snapState(io);
 }
 
 sim::Task<void>
@@ -110,8 +95,7 @@ Thread::run()
     co_await park(); // wait for the first dispatch
     co_await body_(*this);
     state_ = State::Done;
-    doneEvent_.set();
-    co_await park(); // hand the core back; reaped by the scheduler
+    co_await park(); // hand the core back; reaped by the kernel
 }
 
 void

@@ -21,9 +21,7 @@
 
 #include <coroutine>
 #include <functional>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "sim/engine.h"
 #include "sim/sync.h"
@@ -41,7 +39,10 @@ class Kernel;
 class Scheduler;
 class Thread;
 
-/** A process: a container of threads sharing one address space. */
+/**
+ * A process: threads sharing one address space. The threads themselves
+ * live in the thread tables of the kernels they run on.
+ */
 class Process
 {
   public:
@@ -52,23 +53,22 @@ class Process
     Pid pid() const { return pid_; }
     const std::string &name() const { return name_; }
 
-    const std::vector<Thread *> &threads() const { return threads_; }
-    void addThread(Thread *t) { threads_.push_back(t); }
-
-    /** Number of NightWatch threads in this process. */
-    std::size_t numNightWatch() const;
-
     /**
-     * Prune the thread list back to the captured prefix (threads
-     * created after the capture point must already be Done and are
-     * dropped; the prefix is verified by tid).
+     * True once a NightWatch thread has been spawned in this process.
+     * Sticky: it stays set after that thread finishes, so NightWatch
+     * gating (§8) keeps the same per-switch behaviour for the life of
+     * the process.
      */
+    bool hasNightWatch() const { return hasNightWatch_; }
+    void noteNightWatch() { hasNightWatch_ = true; }
+
+    /** Capture/restore the NightWatch bit (the pid is verified). */
     void snapState(snap::Io &io);
 
   private:
     Pid pid_;
     std::string name_;
-    std::vector<Thread *> threads_;
+    bool hasNightWatch_ = false;
 };
 
 class Thread
@@ -95,10 +95,6 @@ class Thread
     /** @} */
 
     State state() const { return state_; }
-    bool done() const { return state_ == State::Done; }
-
-    /** Latched event set when the body finishes. */
-    sim::Event &doneEvent() { return doneEvent_; }
 
     /** The core currently (or last) running this thread. */
     soc::Core &core();
@@ -170,7 +166,8 @@ class Thread
     /** True while a preemption/suspension check should park. */
     bool shouldPark() const;
 
-    /** Destroy the parked coroutine frame of a Done thread. */
+    /** Destroy the parked coroutine frame of a Done thread (the
+     *  kernel's reap, just before it frees the thread). */
     void reap();
 
     /** @} */
@@ -237,7 +234,6 @@ class Thread
     soc::Core *core_ = nullptr;
     std::coroutine_handle<> parked_;
     std::coroutine_handle<> schedHandle_;
-    sim::Event doneEvent_;
 };
 
 } // namespace kern

@@ -30,7 +30,8 @@ kindName(MetricValue::Kind k)
     return "?";
 }
 
-/** Append a JSON number, rendering non-finite values as null. */
+} // namespace
+
 void
 jsonNumber(std::ostream &os, double v)
 {
@@ -42,8 +43,6 @@ jsonNumber(std::ostream &os, double v)
     std::snprintf(buf, sizeof(buf), "%.9g", v);
     os << buf;
 }
-
-} // namespace
 
 const MetricValue *
 MetricsSnapshot::find(const std::string &name) const

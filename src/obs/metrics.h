@@ -32,6 +32,10 @@
 namespace k2 {
 namespace obs {
 
+/** Append a JSON number ("%.9g"), rendering non-finite values as null.
+ *  Shared by every obs JSON serialiser so their numbers agree. */
+void jsonNumber(std::ostream &os, double v);
+
 /** One metric's sampled value inside a snapshot. */
 struct MetricValue
 {

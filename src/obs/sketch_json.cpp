@@ -1,29 +1,12 @@
 #include "obs/sketch_json.h"
 
 #include <cmath>
-#include <cstdio>
 #include <sstream>
+
+#include "obs/metrics.h"
 
 namespace k2 {
 namespace obs {
-
-namespace {
-
-/** Append a JSON number, rendering non-finite values as null (same
- *  formatting contract as the metrics snapshot serialiser). */
-void
-jsonNumber(std::ostream &os, double v)
-{
-    if (!std::isfinite(v)) {
-        os << "null";
-        return;
-    }
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    os << buf;
-}
-
-} // namespace
 
 void
 writeSketchJson(std::ostream &os, const NamedSketches &sketches)

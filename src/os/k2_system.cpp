@@ -61,8 +61,7 @@ K2System::K2System(K2Config cfg)
     // a zero-fault run takes exactly the pre-fault code paths. A
     // replicated system is always armed: replication *is* a recovery
     // protocol.
-    const bool armed = !cfg_.faults.empty() || cfg_.recovery.force ||
-                       replicas >= 2;
+    const bool armed = !cfg_.faults.empty() || replicas >= 2;
     for (const fault::FaultSpec &spec : cfg_.faults.specs()) {
         if (spec.kind == fault::FaultKind::DomainCrash &&
             spec.domain == soc::kStrongDomain) {
@@ -118,8 +117,7 @@ K2System::K2System(K2Config cfg)
     dsm_ = std::make_unique<Dsm>(*soc_, allKernels, cfg_.dsmPages,
                                  cfg_.dsmProtocol);
     if (armed) {
-        dsm_->setRetryPolicy({cfg_.recovery.dsmRetryTimeout,
-                              cfg_.recovery.dsmRetryMax});
+        dsm_->setRetryPolicy(cfg_.recovery.dsmRetry);
     }
 
     meta_ = std::make_unique<MetaLevelManager>(
@@ -427,8 +425,8 @@ void
 K2System::snapState(snap::Io &io)
 {
     // Order matters: the engine first (quiescence assertions, clock,
-    // tracer), then hardware, then the kernels (whose restore prunes
-    // post-capture threads before anything looks threads up by tid),
+    // tracer), then hardware, then the kernels (whose restore verifies
+    // the live thread table before anything looks threads up by tid),
     // then the process table, then the OS services.
     engine_.snapState(io);
     soc_->snapState(io);

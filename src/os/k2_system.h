@@ -78,15 +78,11 @@ struct K2Config
     fault::FaultPlan faults{};
     struct RecoveryConfig
     {
-        /** Arm the recovery protocols even with an empty fault plan
-         *  (for unit tests and overhead measurements). */
-        bool force = false;
         ReliableMail::Config mail{};
-        /** DSM grant-retry timeout; must exceed the loaded fault
+        /** DSM grant retry; the timeout must exceed the loaded fault
          *  round-trip including the peer core's wake latency
          *  (~250 us worst case). */
-        sim::Duration dsmRetryTimeout = sim::usec(500);
-        sim::Duration dsmRetryMax = sim::msec(4);
+        Dsm::RetryPolicy dsmRetry{sim::usec(500), sim::msec(4)};
         Watchdog::Config watchdog{};
         ReplicaGroup::Config replica{};
     };

@@ -1,8 +1,5 @@
 #include "os/nightwatch.h"
 
-#include <algorithm>
-#include <vector>
-
 #include "sim/log.h"
 #include "snap/io.h"
 
@@ -67,7 +64,7 @@ NightWatch::preSwitch(kern::Thread &next, soc::Core &core)
     if (next.kind() != kern::ThreadKind::Normal || !next.process())
         co_return;
     kern::Process &proc = *next.process();
-    if (proc.numNightWatch() == 0)
+    if (!proc.hasNightWatch())
         co_return;
     ProcState &st = state(proc);
     if (st.gated)
@@ -132,8 +129,8 @@ NightWatch::handleMail(KernelIdx to, Message msg, soc::Core &core)
         auto it = procs_.find(static_cast<kern::Pid>(msg.payload));
         if (it != procs_.end() && it->second.proc) {
             co_await core.exec(200); // flagging cost
-            for (kern::Thread *t : it->second.proc->threads()) {
-                if (!t->isNightWatch())
+            for (const auto &t : shadow_.threads()) {
+                if (t->process() != it->second.proc || !t->isNightWatch())
                     continue;
                 // A holder of a cross-domain lock finishes its
                 // critical section before the suspension lands --
@@ -152,8 +149,8 @@ NightWatch::handleMail(KernelIdx to, Message msg, soc::Core &core)
         auto it = procs_.find(static_cast<kern::Pid>(msg.payload));
         if (it != procs_.end() && it->second.proc) {
             co_await core.exec(200);
-            for (kern::Thread *t : it->second.proc->threads()) {
-                if (t->isNightWatch()) {
+            for (const auto &t : shadow_.threads()) {
+                if (t->process() == it->second.proc && t->isNightWatch()) {
                     t->clearDeferredSuspend();
                     shadow_.scheduler().setSuspended(*t, false);
                 }
@@ -184,39 +181,16 @@ NightWatch::snapState(snap::Io &io)
     io.pod(ackWaitUs);
 
     // Per-process entries appear on demand (first spawn or first hook
-    // firing) and are never erased, so the restoring instance's map is
-    // a superset of the image's: prune back to the captured key set.
-    std::uint64_t n = io.count(procs_.size());
-    if (io.restoring()) {
-        std::vector<kern::Pid> keys(static_cast<std::size_t>(n));
-        for (auto &k : keys)
-            io.pod(k);
-        for (auto it = procs_.begin(); it != procs_.end();) {
-            if (!std::binary_search(keys.begin(), keys.end(), it->first))
-                it = procs_.erase(it);
-            else
-                ++it;
-        }
-        for (kern::Pid pid : keys) {
-            auto it = procs_.find(pid);
-            if (it == procs_.end())
-                K2_FATAL("snapshot NightWatch pid %u missing in target",
-                         static_cast<unsigned>(pid));
-            ProcState &st = it->second;
-            io.pod(st.gated);
-            io.pod(st.ackPending);
-            st.ack->snapState(io);
-        }
-    } else {
-        for (auto &[pid, st] : procs_) {
-            kern::Pid p = pid;
-            io.pod(p);
-        }
-        for (auto &[pid, st] : procs_) {
-            io.pod(st.gated);
-            io.pod(st.ackPending);
-            st.ack->snapState(io);
-        }
+    // firing) and are never erased.
+    for (kern::Pid pid : io.keys(procs_)) {
+        auto it = procs_.find(pid);
+        if (it == procs_.end())
+            K2_FATAL("snapshot NightWatch pid %u missing in target",
+                     static_cast<unsigned>(pid));
+        ProcState &st = it->second;
+        io.pod(st.gated);
+        io.pod(st.ackPending);
+        st.ack->snapState(io);
     }
 }
 

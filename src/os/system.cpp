@@ -59,7 +59,7 @@ SystemImage::snapState(snap::Io &io)
 
     // Process table: prune to the captured prefix. Processes created
     // after the capture point belong to post-capture workload episodes
-    // whose threads have been pruned by the kernel restore.
+    // whose threads have all finished and been reaped.
     std::uint64_t n = io.count(processes_.size());
     if (io.restoring()) {
         K2_ASSERT(n <= processes_.size());

@@ -293,8 +293,12 @@ TEST(ZeroFaultGuard, EmptyPlanIsBitIdentical)
 
 TEST(ZeroFaultGuard, ArmedSystemExposesRecoveryMetrics)
 {
+    // Armed by a plan whose one spec can never fire.
     os::K2Config cfg;
-    cfg.recovery.force = true; // Armed, but nothing ever fires.
+    fault::FaultSpec never;
+    never.kind = fault::FaultKind::MailDrop;
+    never.p = 0.0;
+    cfg.faults.add(never);
     const auto armed = guardRun(std::move(cfg));
     EXPECT_NE(armed.first.find("os.recovery.mail.tracked_sent"),
               std::string::npos);

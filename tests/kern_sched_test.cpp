@@ -42,17 +42,18 @@ class KernTest : public ::testing::Test
 TEST_F(KernTest, ThreadRunsAndCompletes)
 {
     int steps = 0;
-    Thread *t = kernel.spawnThread(
-        &proc, "worker", ThreadKind::Normal,
-        [&](Thread &self) -> Task<void> {
-            ++steps;
-            co_await self.exec(350000); // 1 ms at 350 MHz
-            ++steps;
-        });
+    const std::size_t before = kernel.threads().size();
+    kernel.spawnThread(&proc, "worker", ThreadKind::Normal,
+                       [&](Thread &self) -> Task<void> {
+                           ++steps;
+                           co_await self.exec(350000); // 1 ms at 350 MHz
+                           ++steps;
+                       });
+    EXPECT_EQ(kernel.threads().size(), before + 1);
     eng.run(sim::msec(10));
-    EXPECT_TRUE(t->done());
     EXPECT_EQ(steps, 2);
-    EXPECT_TRUE(t->doneEvent().isSet());
+    // Reaped: the finished thread has left the kernel's table.
+    EXPECT_EQ(kernel.threads().size(), before);
     // Active time: context switch + 1 ms of work.
     EXPECT_GE(soc.domain(soc::kStrongDomain).core(0).activeTime() +
                   soc.domain(soc::kStrongDomain).core(1).activeTime(),

@@ -141,8 +141,7 @@ TEST(ReliableMailBackoff, PinsExponentialSchedule)
     cfg.soc.costs.inactiveTimeout = 0;
     // Push the DSM's own fault-timeout resend far out so the ARQ's
     // retransmit stream is the only tracked traffic in the window.
-    cfg.recovery.dsmRetryTimeout = sim::msec(50);
-    cfg.recovery.dsmRetryMax = sim::msec(100);
+    cfg.recovery.dsmRetry = {sim::msec(50), sim::msec(100)};
     fault::FaultSpec crash;
     crash.kind = fault::FaultKind::DomainCrash;
     crash.domain = soc::kWeakDomain;

@@ -320,6 +320,30 @@ TEST_F(K2SystemTest, SuspendAckOverheadIsMicroseconds)
     EXPECT_LT(k2sys->nightWatch().ackWaitUs.mean(), 6.0);
 }
 
+TEST_F(K2SystemTest, FinishedNightWatchThreadStillGatesNormalSwitches)
+{
+    // The process's only NightWatch thread runs to completion and is
+    // reaped from the shadow kernel's table...
+    bool nwDone = false;
+    k2sys->spawnNightWatch(*proc, "nw", [&](Thread &t) -> Task<void> {
+        co_await t.exec(100);
+        nwDone = true;
+    });
+    eng().run(sim::sec(1));
+    ASSERT_TRUE(nwDone);
+    for (const auto &t : k2sys->shadowKernel().threads())
+        EXPECT_NE(t->process(), proc);
+    const std::uint64_t sent = k2sys->nightWatch().suspendsSent.value();
+
+    // ...yet the process keeps its NightWatch bit: its next Normal
+    // switch still sends SuspendNW.
+    k2sys->spawnNormal(*proc, "n", [](Thread &t) -> Task<void> {
+        co_await t.exec(1000);
+    });
+    eng().run(sim::sec(1));
+    EXPECT_EQ(k2sys->nightWatch().suspendsSent.value(), sent + 1);
+}
+
 TEST_F(K2SystemTest, CrossIsaDispatchOnlyChargesShadow)
 {
     auto &x = k2sys->crossIsa();

@@ -88,6 +88,23 @@ TEST(SnapshotTest, RestoreRoundTripsToIdenticalImage)
     EXPECT_EQ(boot, snap::Snapshot::of(tb));
 }
 
+TEST(SnapshotTest, RestoreRejectsExtraLiveThread)
+{
+    auto tb = wl::Testbed::makeK2();
+    tb.engine().run();
+    const snap::Snapshot boot = snap::Snapshot::of(tb);
+
+    // A thread spawned after the capture and still blocked is live
+    // state the image knows nothing about.
+    sim::Event never(tb.engine());
+    tb.sys().spawnNormal(tb.proc(), "stray",
+                         [&never](kern::Thread &t) -> sim::Task<void> {
+                             co_await t.wait(never);
+                         });
+    tb.engine().run();
+    EXPECT_THROW(boot.restore(tb), sim::FatalError);
+}
+
 TEST(SnapshotTest, RestoreRoundTripsOnBaseline)
 {
     auto tb = wl::Testbed::makeLinux();

@@ -63,6 +63,35 @@ TEST(Episode, BackToBackEpisodesAreIndependent)
     EXPECT_NEAR(a.energyUj, b.energyUj, a.energyUj * 0.05);
 }
 
+/** Live threads summed over every kernel of @p tb. */
+std::size_t
+liveThreads(Testbed &tb)
+{
+    std::size_t n = 0;
+    for (kern::Kernel *k : tb.sys().kernels())
+        n += k->threads().size();
+    return n;
+}
+
+TEST(Episode, FinishedEpisodeThreadsAreReaped)
+{
+    // Thread bookkeeping ends with each episode: a long chain on one
+    // testbed holds exactly the threads a single episode leaves.
+    auto tb = Testbed::makeK2();
+    const Workload works[] = {
+        dmaCopy(tb.dma(), 4096, 16 * 1024),
+        ext2Sync(tb.fs(), 4096, 2),
+        udpLoopback(tb.udp(), 4096, 8 * 1024),
+    };
+    runEpisode(tb.sys(), tb.proc(), "w0", works[0]);
+    const std::size_t afterOne = liveThreads(tb);
+    for (int i = 1; i < 200; ++i) {
+        runEpisode(tb.sys(), tb.proc(), "w" + std::to_string(i),
+                   works[i % 3]);
+    }
+    EXPECT_EQ(liveThreads(tb), afterOne);
+}
+
 TEST(Workloads, DmaCopyMovesExactlyTotal)
 {
     auto tb = Testbed::makeLinux();
