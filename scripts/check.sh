@@ -9,14 +9,17 @@
 #
 # With --tsan, builds into build-tsan/ with ThreadSanitizer
 # (-DK2_SANITIZE=thread) and runs the tests that exercise host-thread
-# parallelism: the sweep harness and the thread-confined log
-# configuration. TSan and the simulator's single-threaded tier-1 suite
-# don't mix usefully, so only the parallel tests run in this mode.
+# parallelism: the sweep harness and its flag parsing. TSan and the
+# simulator's single-threaded tier-1 suite don't mix usefully, so only
+# the parallel tests run in this mode.
 #
 # With --bench, runs the tier-2 perf gate end to end: rebuilds the
 # Release bench preset, re-measures the micro_sim suite, and fails if
 # any benchmark regresses against the recorded BENCH_sim.json baseline
-# (scripts/compare_bench.py, default threshold).
+# (scripts/compare_bench.py, default threshold), then runs the scaling
+# guard: each round-trip benchmark's per-op cost must not move by more
+# than 20% between ~10x different iteration counts
+# (scripts/compare_bench.py --scaling).
 
 set -euo pipefail
 
@@ -45,7 +48,9 @@ elif [ "$MODE" = "--bench" ]; then
         --benchmark_out_format=json \
         --benchmark_min_time=0.5
     scripts/compare_bench.py BENCH_sim.json build-bench/bench_gate.json
-    echo "bench gate: no regressions vs BENCH_sim.json"
+    scripts/compare_bench.py --scaling build-bench/bench/micro_sim
+    echo "bench gate: no regressions vs BENCH_sim.json, per-op cost" \
+         "independent of iteration count"
     exit 0
 fi
 
@@ -63,7 +68,7 @@ if [ "$MODE" = "--tsan" ]; then
     # Race-check the parallel sweep paths, then exercise a ported
     # sweep binary and the testbed at an adversarial thread count.
     ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)" \
-        -R 'SweepRunner|ScopedLogConfig|ParseJobsFlag'
+        -R 'SweepRunner|ParseJobsFlag'
     "$BUILD_DIR"/bench/fig6a_dma_energy --jobs=13 >/dev/null
     "$BUILD_DIR"/src/workloads/testbed --episodes=3 --runs=4 --jobs=13 \
         >/dev/null

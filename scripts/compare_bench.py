@@ -3,6 +3,7 @@
 
 Usage: scripts/compare_bench.py BASELINE.json CANDIDATE.json
        [--threshold PCT] [--filter REGEX]
+       scripts/compare_bench.py --scaling MICRO_SIM_BINARY
 
 Exits non-zero when any benchmark present in both files regresses its
 real_time by more than the threshold (default 15%), or when any
@@ -17,6 +18,15 @@ Improvements beyond the threshold are summarized separately at the
 end, so a perf PR's claimed speedup is readable straight off the
 gate's output.
 
+--scaling runs the round-trip benchmarks (SCALING_FILTER) of the given
+micro_sim binary itself, at --benchmark_min_time=0.05 and at 0.5, and
+fails if any row's per-op real_time differs by more than 20% between
+the two. The min time picks the iteration count, so a per-op cost that
+grows with the number of iterations (a leak: state that accumulates
+across ops) shows up here, while the baseline gate above cannot see
+it. Each row's time is the median of SCALING_RUNS runs of the binary,
+alternating the two min times, so one noisy run does not decide.
+
 Typical use:
 
     scripts/run_bench.sh               # baseline -> BENCH_sim.json
@@ -29,12 +39,23 @@ Typical use:
 import argparse
 import json
 import re
+import statistics
+import subprocess
 import sys
 
 # allocs/op below this is a one-time setup allocation amortized over
 # the iteration count (e.g. 1.2e-07 with a different denominator per
 # run), not a per-op allocation; treat it as zero.
 ALLOC_EPSILON = 1e-3
+
+# Scaling guard (--scaling): the round-trip benchmarks whose per-op cost
+# must not depend on the iteration count, the two min times whose
+# iteration counts differ by ~10x, and the allowed per-op drift.
+SCALING_FILTER = ("BM_DsmFault_.*|BM_ReliableMailRoundtrip|"
+                  "BM_ReplicaVoteRoundtrip")
+SCALING_MIN_TIMES = (0.05, 0.5)
+SCALING_TOLERANCE = 20.0
+SCALING_RUNS = 5
 
 
 def load(path):
@@ -53,18 +74,84 @@ def load(path):
     return data.get("context", {}), benches
 
 
+def run_micro_sim(binary, min_time):
+    """Run the scaling rows once; returns {name: (real_time, iters)}."""
+    cmd = [binary, f"--benchmark_filter={SCALING_FILTER}",
+           f"--benchmark_min_time={min_time}", "--benchmark_format=json"]
+    try:
+        out = subprocess.run(cmd, check=True, capture_output=True,
+                             text=True).stdout
+    except (OSError, subprocess.CalledProcessError) as e:
+        sys.exit(f"error: {' '.join(cmd)} failed: {e}")
+    return {b["name"]: (b["real_time"], b["iterations"])
+            for b in json.loads(out)["benchmarks"]}
+
+
+def scaling_guard(binary):
+    """Fail if a round-trip row's per-op cost drifts with its
+    iteration count (see the module docstring)."""
+    # Alternate the two min times so a change in host load hits both
+    # sides alike instead of skewing one of them.
+    runs = {t: [] for t in SCALING_MIN_TIMES}
+    for _ in range(SCALING_RUNS):
+        for t in SCALING_MIN_TIMES:
+            runs[t].append(run_micro_sim(binary, t))
+    short_t, long_t = SCALING_MIN_TIMES
+    names = sorted(runs[short_t][0])
+    if not names:
+        sys.exit(f"error: {SCALING_FILTER!r} matches no benchmarks")
+
+    def median(t, name, field):
+        return statistics.median(r[name][field] for r in runs[t])
+
+    failures = []
+    width = max(len(n) for n in names)
+    print(f"{'benchmark':<{width}}  {'t=' + str(short_t):>12}  "
+          f"{'iters':>9}  {'t=' + str(long_t):>12}  {'iters':>9}  "
+          f"{'drift':>8}")
+    for name in names:
+        st, lt = median(short_t, name, 0), median(long_t, name, 0)
+        drift = (st - lt) / lt * 100.0 if lt else 0.0
+        flag = ""
+        if abs(drift) > SCALING_TOLERANCE:
+            flag = "  SCALING"
+            failures.append(
+                f"{name}: {st:.1f} ns/op at min_time={short_t} vs "
+                f"{lt:.1f} ns/op at {long_t} ({drift:+.1f}%)")
+        print(f"{name:<{width}}  {st:>12.1f}  "
+              f"{median(short_t, name, 1):>9.0f}  {lt:>12.1f}  "
+              f"{median(long_t, name, 1):>9.0f}  {drift:>+7.1f}%{flag}")
+    if failures:
+        print(f"\nFAIL: per-op cost depends on the iteration count "
+              f"(>{SCALING_TOLERANCE:g}%):", file=sys.stderr)
+        for f in failures:
+            print(f"  {f}", file=sys.stderr)
+        return 1
+    print(f"\nOK: {len(names)} round-trip benchmarks within "
+          f"{SCALING_TOLERANCE:g}% across min_time {short_t} and {long_t}")
+    return 0
+
+
 def main():
     ap = argparse.ArgumentParser(
         description="Diff two google-benchmark JSON files.")
-    ap.add_argument("baseline")
-    ap.add_argument("candidate")
+    ap.add_argument("baseline", nargs="?")
+    ap.add_argument("candidate", nargs="?")
     ap.add_argument("--threshold", type=float, default=15.0,
                     help="max allowed real_time regression in percent "
                          "(default: %(default)s)")
     ap.add_argument("--filter", metavar="REGEX", default=None,
                     help="compare only benchmarks whose name matches "
                          "this regex (re.search semantics)")
+    ap.add_argument("--scaling", metavar="MICRO_SIM",
+                    help="run the iteration-count scaling guard on this "
+                         "micro_sim binary instead of diffing files")
     args = ap.parse_args()
+
+    if args.scaling is not None:
+        return scaling_guard(args.scaling)
+    if args.baseline is None or args.candidate is None:
+        ap.error("BASELINE and CANDIDATE are required without --scaling")
 
     base_ctx, base = load(args.baseline)
     cand_ctx, cand = load(args.candidate)

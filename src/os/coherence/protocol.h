@@ -82,21 +82,6 @@ ProtocolKind parseProtocol(const std::string &name, std::size_t at = 0);
  *  (these pay the cascaded-MMU read-tracking penalty on weak cores). */
 bool readSharing(ProtocolKind kind);
 
-/**
- * Fault-timeout retry (recovery layer). Off by default (timeout == 0):
- * the faulting kernel spins on the grant forever, exactly the
- * pre-fault-plane behaviour. When enabled, a faulter whose grant does
- * not arrive within the timeout re-sends its request with a fresh
- * sequence number, backing off exponentially up to maxTimeout.
- * Attempts are unbounded: the faulter must survive a crashed peer
- * until the watchdog revives it (or re-owns the page under it).
- */
-struct RetryPolicy
-{
-    sim::Duration timeout = 0;
-    sim::Duration maxTimeout = sim::msec(4);
-};
-
 /** Per-sender fault statistics (the Table 5 breakdown). */
 struct FaultStats
 {

@@ -279,7 +279,7 @@ Dsm::awaitGrant(PageInfo &pi, KernelIdx k, soc::Core &core,
                 // kernel's domain is back, the caller faults afresh.
                 if (!down(k))
                     break;
-                rto = std::min(rto * 2, retry_.maxTimeout);
+                rto = retry_.next(rto);
                 continue;
             }
             retries_.inc();
@@ -306,7 +306,7 @@ Dsm::awaitGrant(PageInfo &pi, KernelIdx k, soc::Core &core,
                 // have changed since the original request.
                 askHolders(k, page, rw, exclusive);
             }
-            rto = std::min(rto * 2, retry_.maxTimeout);
+            rto = retry_.next(rto);
         }
     }
     core.unpinActive();

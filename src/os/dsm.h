@@ -57,6 +57,7 @@
 #include "os/coherence/protocol.h"
 #include "os/coherence/rac.h"
 #include "os/messages.h"
+#include "os/retry.h"
 #include "os/system.h"
 
 namespace k2 {
@@ -72,9 +73,6 @@ class Dsm
   public:
     /** Protocol selector (see coherence::ProtocolKind for the zoo). */
     using Protocol = coherence::ProtocolKind;
-
-    /** Fault-timeout retry policy (recovery layer). */
-    using RetryPolicy = coherence::RetryPolicy;
 
     /** Per-kernel fault statistics (the Table 5 breakdown). */
     using FaultStats = coherence::FaultStats;
@@ -94,10 +92,12 @@ class Dsm
     std::size_t numKernels() const { return kernels_.size(); }
 
     /**
-     * Enable/disable the fault-timeout retry. A faulter whose grant
-     * times out re-sends its request to the page's *current* holders,
-     * so a fault stranded on a crashed kernel redirects once the page
-     * is reclaimed to a survivor (or the kernel revives).
+     * Enable/disable the fault-timeout retry (off while the timeout is
+     * 0). A faulter whose grant times out re-sends its request to the
+     * page's *current* holders, backing off per RetryPolicy::next with
+     * unbounded attempts, so a fault stranded on a crashed kernel
+     * redirects once the page is reclaimed to a survivor (or the
+     * kernel revives).
      */
     void setRetryPolicy(RetryPolicy p) { retry_ = p; }
 

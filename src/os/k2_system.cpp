@@ -85,26 +85,27 @@ K2System::K2System(K2Config cfg)
     layout_ = std::make_unique<kern::AddressSpaceLayout>(
         soc_->pageBytes(), soc_->numPages(), std::move(locals));
 
-    main_ = std::make_unique<kern::Kernel>(*soc_, soc::kStrongDomain,
-                                           "main");
-    shadow_ = std::make_unique<kern::Kernel>(*soc_, soc::kWeakDomain,
-                                             "shadow");
-    main_->boot();
-    shadow_->boot();
+    kernels_.push_back(std::make_unique<kern::Kernel>(
+        *soc_, soc::kStrongDomain, "main"));
+    kernels_.push_back(std::make_unique<kern::Kernel>(
+        *soc_, soc::kWeakDomain, "shadow"));
     for (std::size_t i = 2; i <= replicas; ++i) {
-        extras_.push_back(std::make_unique<kern::Kernel>(
+        kernels_.push_back(std::make_unique<kern::Kernel>(
             *soc_, firstExtraDomain + static_cast<soc::DomainId>(i - 2),
             "shadow" + std::to_string(i)));
-        extras_.back()->boot();
-        // Replica kernels draw pages from their own local region;
-        // the global region stays under the two-kernel meta manager.
-        extras_.back()->pageAllocator().addFreeRange(
-            layout_->localOf(extras_.back()->name()).pages);
+    }
+    for (auto &k : kernels_)
+        k->boot();
+    // Replica kernels draw pages from their own local region; the
+    // global region stays under the two-kernel meta manager.
+    for (std::size_t i = 2; i < kernels_.size(); ++i) {
+        kernels_[i]->pageAllocator().addFreeRange(
+            layout_->localOf(kernels_[i]->name()).pages);
     }
 
-    std::vector<kern::Kernel *> allKernels{main_.get(), shadow_.get()};
-    for (auto &ex : extras_)
-        allKernels.push_back(ex.get());
+    kern::Kernel &main = *kernels_[0];
+    kern::Kernel &shadow = *kernels_[1];
+    const std::vector<kern::Kernel *> allKernels = kernels();
 
     if (armed) {
         reliable_ = std::make_unique<ReliableMail>(allKernels,
@@ -121,25 +122,24 @@ K2System::K2System(K2Config cfg)
     }
 
     meta_ = std::make_unique<MetaLevelManager>(
-        *soc_, std::array<kern::Kernel *, 2>{main_.get(), shadow_.get()},
+        *soc_, std::array<kern::Kernel *, 2>{&main, &shadow},
         layout_->global().pages, cfg_.meta);
     meta_->bootstrapBlocks(0, cfg_.initialMainBlocks);
     meta_->bootstrapBlocks(1, cfg_.initialShadowBlocks);
     meta_->start();
 
-    nightWatch_ = std::make_unique<NightWatch>(*soc_, *main_, *shadow_);
+    nightWatch_ = std::make_unique<NightWatch>(*soc_, main, shadow);
     nightWatch_->install();
 
-    irqRouter_ = std::make_unique<IrqRouter>(*soc_, *main_, *shadow_);
+    irqRouter_ = std::make_unique<IrqRouter>(*soc_, main, shadow);
     irqRouter_->install();
 
     if (armed) {
-        std::vector<kern::Kernel *> shadows{shadow_.get()};
-        for (auto &ex : extras_)
-            shadows.push_back(ex.get());
         watchdog_ = std::make_unique<Watchdog>(
-            *soc_, *main_, std::move(shadows), *dsm_, *irqRouter_,
-            injector_.get(), cfg_.recovery.watchdog);
+            *soc_, main,
+            std::vector<kern::Kernel *>(allKernels.begin() + 1,
+                                        allKernels.end()),
+            *dsm_, *irqRouter_, injector_.get(), cfg_.recovery.watchdog);
         // Repeated retransmission without an ack on any channel is the
         // watchdog's crash-suspicion signal. Shadow->main silence also
         // counts: in the simulation a crashed domain's threads keep
@@ -162,28 +162,20 @@ K2System::K2System(K2Config cfg)
         watchdog_->setReplicaGroup(group_.get());
     }
 
-    crossIsa_ = std::make_unique<CrossIsaDispatcher>(*shadow_);
-    for (auto &ex : extras_)
-        crossIsa_->addShadow(*ex);
+    crossIsa_ = std::make_unique<CrossIsaDispatcher>(shadow);
+    for (std::size_t i = 2; i < kernels_.size(); ++i)
+        crossIsa_->addShadow(*kernels_[i]);
 
     ioMapper_ = std::make_unique<IoMapper>(
-        *soc_, std::array<kern::Kernel *, 2>{main_.get(), shadow_.get()},
+        *soc_, std::array<kern::Kernel *, 2>{&main, &shadow},
         *layout_);
 
     services_ = kern::defaultK2Registry();
 
-    main_->setMailHandler(
-        [this](soc::Mail mail, soc::Core &core) {
-            return dispatchMail(0, mail, core);
-        });
-    shadow_->setMailHandler(
-        [this](soc::Mail mail, soc::Core &core) {
-            return dispatchMail(1, mail, core);
-        });
-    for (std::size_t i = 0; i < extras_.size(); ++i) {
-        extras_[i]->setMailHandler(
-            [this, i](soc::Mail mail, soc::Core &core) {
-                return dispatchMail(2 + i, mail, core);
+    for (KernelIdx k = 0; k < kernels_.size(); ++k) {
+        kernels_[k]->setMailHandler(
+            [this, k](soc::Mail mail, soc::Core &core) {
+                return dispatchMail(k, mail, core);
             });
     }
 }
@@ -193,13 +185,9 @@ K2System::~K2System() = default;
 kern::Kernel &
 K2System::kernelAt(soc::DomainId domain)
 {
-    if (domain == soc::kStrongDomain)
-        return *main_;
-    if (domain == soc::kWeakDomain)
-        return *shadow_;
-    for (auto &ex : extras_) {
-        if (ex->domainId() == domain)
-            return *ex;
+    for (auto &k : kernels_) {
+        if (k->domainId() == domain)
+            return *k;
     }
     K2_PANIC("no kernel for domain %u", domain);
 }
@@ -207,19 +195,15 @@ K2System::kernelAt(soc::DomainId domain)
 kern::Kernel &
 K2System::kernelByIdx(KernelIdx k)
 {
-    if (k == 0)
-        return *main_;
-    if (k == 1)
-        return *shadow_;
-    return *extras_.at(k - 2);
+    return *kernels_.at(k);
 }
 
 std::vector<kern::Kernel *>
 K2System::kernels()
 {
-    std::vector<kern::Kernel *> all{main_.get(), shadow_.get()};
-    for (auto &ex : extras_)
-        all.push_back(ex.get());
+    std::vector<kern::Kernel *> all;
+    for (auto &k : kernels_)
+        all.push_back(k.get());
     return all;
 }
 
@@ -234,8 +218,9 @@ kern::Thread *
 K2System::spawnNormal(kern::Process &proc, std::string name,
                       kern::Thread::Body body)
 {
-    return main_->spawnThread(&proc, std::move(name),
-                              kern::ThreadKind::Normal, std::move(body));
+    return mainKernel().spawnThread(&proc, std::move(name),
+                                    kern::ThreadKind::Normal,
+                                    std::move(body));
 }
 
 kern::Thread *
@@ -430,11 +415,9 @@ K2System::snapState(snap::Io &io)
     // then the process table, then the OS services.
     engine_.snapState(io);
     soc_->snapState(io);
-    main_->snapState(io);
-    shadow_->snapState(io);
-    io.check(extras_.size(), "K2System::extras");
-    for (auto &ex : extras_)
-        ex->snapState(io);
+    io.check(kernels_.size(), "K2System::kernels");
+    for (auto &k : kernels_)
+        k->snapState(io);
     SystemImage::snapState(io);
     dsm_->snapState(io);
     meta_->snapState(io);

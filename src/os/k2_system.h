@@ -82,7 +82,7 @@ struct K2Config
         /** DSM grant retry; the timeout must exceed the loaded fault
          *  round-trip including the peer core's wake latency
          *  (~250 us worst case). */
-        Dsm::RetryPolicy dsmRetry{sim::usec(500), sim::msec(4)};
+        RetryPolicy dsmRetry{sim::usec(500), sim::msec(4)};
         Watchdog::Config watchdog{};
         ReplicaGroup::Config replica{};
     };
@@ -100,8 +100,8 @@ class K2System : public SystemImage
     soc::Soc &soc() override { return *soc_; }
     kern::Kernel &kernelAt(soc::DomainId domain) override;
     std::vector<kern::Kernel *> kernels() override;
-    kern::Kernel &mainKernel() override { return *main_; }
-    kern::Kernel &nightWatchKernel() override { return *shadow_; }
+    kern::Kernel &mainKernel() override { return *kernels_[0]; }
+    kern::Kernel &nightWatchKernel() override { return *kernels_[1]; }
     std::unique_ptr<SharedRegion>
     createSharedRegion(std::string name, std::uint64_t pages) override;
     kern::Thread *spawnNormal(kern::Process &proc, std::string name,
@@ -121,7 +121,7 @@ class K2System : public SystemImage
 
     /** @name K2 components. @{ */
     sim::Engine &ownedEngine() { return engine_; }
-    kern::Kernel &shadowKernel() { return *shadow_; }
+    kern::Kernel &shadowKernel() { return *kernels_[1]; }
     /** The DSM backing shared regions, spanning every kernel. */
     Dsm &dsm() { return *dsm_; }
     MetaLevelManager &meta() { return *meta_; }
@@ -140,7 +140,7 @@ class K2System : public SystemImage
     Watchdog *watchdog() { return watchdog_.get(); }
     ReplicaGroup *replicaGroup() { return group_.get(); }
     /** Configured replication degree (1 = unreplicated). */
-    std::size_t replicas() const { return 1 + extras_.size(); }
+    std::size_t replicas() const { return kernels_.size() - 1; }
     /** @} */
 
     /** Frees redirected to the peer kernel so far. */
@@ -163,10 +163,12 @@ class K2System : public SystemImage
     std::unique_ptr<fault::FaultInjector> injector_;
     std::unique_ptr<soc::Soc> soc_;
     std::unique_ptr<kern::AddressSpaceLayout> layout_;
-    std::unique_ptr<kern::Kernel> main_;
-    std::unique_ptr<kern::Kernel> shadow_;
-    /** Shadow replicas 2..N on cloned weak domains (replicas >= 2). */
-    std::vector<std::unique_ptr<kern::Kernel>> extras_;
+    /**
+     * Every kernel, indexed by KernelIdx: main (strong domain), shadow
+     * (weak domain), then shadow replicas 2..N on cloned weak domains
+     * (replicas >= 2).
+     */
+    std::vector<std::unique_ptr<kern::Kernel>> kernels_;
     std::unique_ptr<Dsm> dsm_;
     std::unique_ptr<MetaLevelManager> meta_;
     std::unique_ptr<NightWatch> nightWatch_;

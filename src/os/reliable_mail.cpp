@@ -119,7 +119,7 @@ ReliableMail::send(KernelIdx from, soc::DomainId to_domain,
     Pending &p = ch.inflight[seq];
     p.word = stamped;
     p.attempt = 1;
-    p.rto = cfg_.rto;
+    p.rto = cfg_.retry.timeout;
     p.sentAt = kernels_[from]->engine().now();
     trackedSent_.inc();
     kernels_[from]->sendMailRaw(to_domain, stamped);
@@ -157,7 +157,7 @@ ReliableMail::onTimeout(KernelIdx from, KernelIdx to, std::uint32_t seq)
         suspect_(from, to);
     }
     ++p.attempt;
-    p.rto = std::min(p.rto * 2, cfg_.maxRto);
+    p.rto = cfg_.retry.next(p.rto);
     p.sentAt = kernels_[from]->engine().now();
     retransmits_.inc();
     kernels_[from]->engine().spawn(chargeAndResend(

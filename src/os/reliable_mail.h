@@ -41,6 +41,7 @@
 
 #include "kern/kernel.h"
 #include "os/messages.h"
+#include "os/retry.h"
 #include "sim/stats.h"
 
 namespace k2 {
@@ -56,18 +57,17 @@ class ReliableMail
   public:
     struct Config
     {
-        /** Initial timeout; must sit above the loaded ack round trip,
-         *  which includes the receiving core's wake latency (150 us
-         *  for the strong domain). */
-        sim::Duration rto = sim::usec(300);
         /**
-         * Exponential-backoff cap, 8x the base RTO. The deterministic
-         * doubling schedule (300, 600, 1200, 2400, 2400, ... us)
-         * de-synchronises retransmit storms during injected loss
-         * bursts while keeping the per-mail retransmit lifetime long
-         * enough to ride out a crash-and-restart cycle.
+         * Retransmit timeout. The initial 300 us must sit above the
+         * loaded ack round trip, which includes the receiving core's
+         * wake latency (150 us for the strong domain). The 8x cap
+         * gives the deterministic doubling schedule (300, 600, 1200,
+         * 2400, 2400, ... us), which de-synchronises retransmit
+         * storms during injected loss bursts while keeping the
+         * per-mail retransmit lifetime long enough to ride out a
+         * crash-and-restart cycle.
          */
-        sim::Duration maxRto = sim::usec(2400);
+        RetryPolicy retry{sim::usec(300), sim::usec(2400)};
         /**
          * Attempt count at which the suspect hook first fires (the
          * watchdog's suspicion trigger). Retransmission continues past
@@ -76,7 +76,7 @@ class ReliableMail
          */
         std::uint32_t suspectAttempts = 4;
         /**
-         * Hard cap on transmits per mail. With the default rto/maxRto
+         * Hard cap on transmits per mail. With the default retry
          * the cumulative retransmit lifetime (~55 ms) comfortably
          * outlives a crash + probe + restart cycle, so tracked mail
          * survives a shadow-kernel reboot.

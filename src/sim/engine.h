@@ -209,7 +209,7 @@ class Engine
     /** Total event-record slots ever allocated (pool high-water). */
     std::size_t poolCapacity() const { return allocatedSlots_; }
 
-    /** The engine's trace ring buffer (disabled by default). */
+    /** The engine's span tracer (disabled by default). */
     Tracer &tracer() { return tracer_; }
     const Tracer &tracer() const { return tracer_; }
 
@@ -223,15 +223,6 @@ class Engine
      * rewound engine hands out byte-identical EventIds to a cold one.
      */
     void snapState(snap::Io &io);
-
-    /** Record a trace event at the current time (cheap when the
-     *  category is disabled -- check tracer().on(cat) before
-     *  formatting, or use K2_TRACE which does it for you). */
-    void
-    trace(TraceCat cat, std::string text)
-    {
-        tracer_.record(now_, cat, std::move(text));
-    }
 
     /**
      * @name Structured-span helpers.
@@ -440,15 +431,17 @@ class Engine
 } // namespace k2
 
 /**
- * Record a trace event, formatting lazily: the printf-style arguments
- * are only evaluated when @p cat is enabled on @p eng's tracer.
+ * Record a text instant on @p cat's trace track, formatting lazily:
+ * the printf-style arguments are only evaluated when spans are on and
+ * @p cat is enabled on @p eng's tracer.
  * @p eng and @p cat are evaluated more than once; keep them
  * side-effect free.
  */
 #define K2_TRACE(eng, cat, ...)                                             \
     do {                                                                    \
         if ((eng).tracer().on(cat))                                         \
-            (eng).trace((cat), ::k2::sim::strPrintf(__VA_ARGS__));          \
+            (eng).tracer().textInstant((eng).now(), (cat),                  \
+                                       ::k2::sim::strPrintf(__VA_ARGS__));  \
     } while (0)
 
 #endif // K2_SIM_ENGINE_H

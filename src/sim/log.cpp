@@ -1,6 +1,5 @@
 #include "sim/log.h"
 
-#include <atomic>
 #include <cstdarg>
 #include <cstdio>
 
@@ -10,10 +9,6 @@ namespace k2 {
 namespace sim {
 
 namespace {
-
-/** Process-wide default verbosity; immutable-after-init by contract
- *  (see setLogLevel), atomic so a late write is still well-defined. */
-std::atomic<LogLevel> g_level{LogLevel::Normal};
 
 std::string
 vformat(const char *fmt, va_list ap)
@@ -31,52 +26,6 @@ vformat(const char *fmt, va_list ap)
 }
 
 } // namespace
-
-/** Route one finished line of inform() text to the thread's sink. */
-void
-logToOut(const std::string &line)
-{
-    ScopedLogConfig::State &st = ScopedLogConfig::threadState();
-    if (st.active && st.out)
-        st.out->append(line);
-    else
-        std::fwrite(line.data(), 1, line.size(), stdout);
-}
-
-/** Route one finished line of warn()/trace() text to the thread's
- *  sink. */
-void
-logToErr(const std::string &line)
-{
-    ScopedLogConfig::State &st = ScopedLogConfig::threadState();
-    if (st.active && st.err)
-        st.err->append(line);
-    else
-        std::fwrite(line.data(), 1, line.size(), stderr);
-}
-
-ScopedLogConfig::State &
-ScopedLogConfig::threadState()
-{
-    thread_local State state;
-    return state;
-}
-
-ScopedLogConfig::ScopedLogConfig(LogLevel level, std::string *out,
-                                 std::string *err)
-{
-    State &st = threadState();
-    prev_ = st;
-    st.active = true;
-    st.level = level;
-    st.out = out;
-    st.err = err;
-}
-
-ScopedLogConfig::~ScopedLogConfig()
-{
-    threadState() = prev_;
-}
 
 std::string
 formatTime(Time t)
@@ -107,21 +56,6 @@ strPrintf(const char *fmt, ...)
 }
 
 void
-setLogLevel(LogLevel level)
-{
-    g_level.store(level, std::memory_order_relaxed);
-}
-
-LogLevel
-logLevel()
-{
-    const ScopedLogConfig::State &st = ScopedLogConfig::threadState();
-    if (st.active)
-        return st.level;
-    return g_level.load(std::memory_order_relaxed);
-}
-
-void
 panicImpl(const char *file, int line, const char *fmt, ...)
 {
     va_list ap;
@@ -141,57 +75,6 @@ fatalImpl(const char *file, int line, const char *fmt, ...)
     va_end(ap);
     std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
     throw FatalError(msg);
-}
-
-namespace {
-
-std::string
-makeLine(const char *prefix, const std::string &msg)
-{
-    std::string line;
-    line.reserve(std::char_traits<char>::length(prefix) + msg.size() + 1);
-    line.append(prefix);
-    line.append(msg);
-    line.push_back('\n');
-    return line;
-}
-
-} // namespace
-
-void
-warnImpl(const char *fmt, ...)
-{
-    if (logLevel() == LogLevel::Quiet)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    const std::string msg = vformat(fmt, ap);
-    va_end(ap);
-    logToErr(makeLine("warn: ", msg));
-}
-
-void
-informImpl(const char *fmt, ...)
-{
-    if (logLevel() == LogLevel::Quiet)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    const std::string msg = vformat(fmt, ap);
-    va_end(ap);
-    logToOut(makeLine("info: ", msg));
-}
-
-void
-traceImpl(const char *fmt, ...)
-{
-    if (logLevel() != LogLevel::Verbose)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    const std::string msg = vformat(fmt, ap);
-    va_end(ap);
-    logToErr(makeLine("trace: ", msg));
 }
 
 } // namespace sim

@@ -7,8 +7,9 @@
  * fatal()  -- the simulation cannot continue because of a user error
  *             (bad configuration, invalid arguments); throws
  *             FatalError so tests can assert on misconfiguration.
- * warn()   -- something is modelled approximately; execution continues.
- * inform() -- normal operational status.
+ *
+ * Everything else a run reports goes through the span tracer
+ * (sim/trace.h) or the metrics registry.
  */
 
 #ifndef K2_SIM_LOG_H
@@ -31,85 +32,6 @@ class FatalError : public std::runtime_error
     {}
 };
 
-/** Verbosity of inform()/warn() output. */
-enum class LogLevel { Quiet, Normal, Verbose };
-
-/**
- * Set the process-wide default log verbosity. Defaults to Normal.
- *
- * The default is stored in an atomic and is intended to be
- * immutable-after-init: set it once before any simulation threads
- * start. Concurrent engines that want their own verbosity use
- * ScopedLogConfig instead, which overrides the default for the
- * calling thread only.
- */
-void setLogLevel(LogLevel level);
-
-/** Get the effective log verbosity for the calling thread: the
- *  innermost active ScopedLogConfig's level, else the process-wide
- *  default. */
-LogLevel logLevel();
-
-/** Route already-formatted inform()-class text through the calling
- *  thread's log configuration: appended to the active scope's stdout
- *  sink, else written to stdout. Used by harnesses that replay
- *  captured cell output. */
-void logToOut(const std::string &line);
-
-/** Same as logToOut() for warn()/trace()-class text (stderr). */
-void logToErr(const std::string &line);
-
-/**
- * Thread-confined log configuration override (RAII).
- *
- * While alive, warn()/inform()/trace() emitted from the constructing
- * thread use @p level instead of the process default, and -- when
- * sinks are given -- append their text to the sink strings instead of
- * writing to stdout/stderr. This is how each sweep cell gets
- * per-engine log configuration: the cell's worker thread installs a
- * scope around the cell body, so concurrent engines at different
- * levels neither share a knob nor interleave their output.
- *
- * Scopes nest (the previous configuration is restored on
- * destruction) and must be destroyed on the constructing thread.
- * panic()/fatal() diagnostics always go to stderr: they are crash
- * paths and must be visible even if a capture buffer is never
- * flushed.
- */
-class ScopedLogConfig
-{
-  public:
-    /**
-     * @param level Effective verbosity for this thread.
-     * @param out Sink for inform() text (stdout stream); null keeps
-     *        stdout.
-     * @param err Sink for warn()/trace() text (stderr stream); null
-     *        keeps stderr.
-     */
-    explicit ScopedLogConfig(LogLevel level, std::string *out = nullptr,
-                             std::string *err = nullptr);
-    ~ScopedLogConfig();
-
-    ScopedLogConfig(const ScopedLogConfig &) = delete;
-    ScopedLogConfig &operator=(const ScopedLogConfig &) = delete;
-
-  private:
-    struct State
-    {
-        bool active = false;
-        LogLevel level = LogLevel::Normal;
-        std::string *out = nullptr;
-        std::string *err = nullptr;
-    };
-
-    static State &threadState();
-    friend LogLevel logLevel();
-    friend void logToOut(const std::string &line);
-    friend void logToErr(const std::string &line);
-
-    State prev_;
-};
-
 /**
  * Report an internal simulator bug and abort.
  *
@@ -123,15 +45,6 @@ class ScopedLogConfig
  */
 [[noreturn]] void fatalImpl(const char *file, int line, const char *fmt, ...)
     __attribute__((format(printf, 3, 4)));
-
-/** Emit a warning (suppressed at LogLevel::Quiet). */
-void warnImpl(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Emit a status message (suppressed below LogLevel::Normal). */
-void informImpl(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Emit a debug trace (only at LogLevel::Verbose). */
-void traceImpl(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** printf-style formatting into a std::string. */
 std::string strPrintf(const char *fmt, ...)

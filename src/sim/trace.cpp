@@ -29,58 +29,18 @@ Tracer::catName(TraceCat cat)
 }
 
 void
-Tracer::record(Time when, TraceCat cat, std::string text)
+Tracer::textInstant(Time when, TraceCat cat, std::string text)
 {
-    if (!on(cat))
-        return;
-    ++emitted_;
-    // Mirror the record as an instant on the category's track so the
-    // textual trace shows up on the exported timeline.
-    if (spansOn_) {
-        const auto idx =
-            static_cast<std::size_t>(std::countr_zero(traceMask(cat)));
-        K2_ASSERT(idx < kNumTraceCats);
-        std::uint32_t detail = kNoDetail;
-        if (spanDetails_.size() < spanCapacity_) {
-            detail = static_cast<std::uint32_t>(spanDetails_.size());
-            spanDetails_.push_back(text);
-        }
-        push(SpanEvent{when, 0, 0.0, catTracks_[idx], detail,
-                       SpanPhase::Instant, catName(cat)});
+    const auto idx =
+        static_cast<std::size_t>(std::countr_zero(traceMask(cat)));
+    K2_ASSERT(idx < kNumTraceCats);
+    std::uint32_t detail = kNoDetail;
+    if (spanDetails_.size() < spanCapacity_) {
+        detail = static_cast<std::uint32_t>(spanDetails_.size());
+        spanDetails_.push_back(std::move(text));
     }
-    if (buffer_.size() >= capacity_) {
-        buffer_.pop_front();
-        ++dropped_;
-    }
-    buffer_.push_back(Record{when, cat, std::move(text)});
-}
-
-std::vector<Tracer::Record>
-Tracer::ofCategory(TraceCat cat) const
-{
-    std::vector<Record> out;
-    for (const auto &r : buffer_) {
-        if (r.cat == cat)
-            out.push_back(r);
-    }
-    return out;
-}
-
-void
-Tracer::dump(std::ostream &os) const
-{
-    for (const auto &r : buffer_) {
-        os << formatTime(r.when) << " [" << catName(r.cat) << "] "
-           << r.text << "\n";
-    }
-}
-
-void
-Tracer::clear()
-{
-    buffer_.clear();
-    emitted_ = 0;
-    dropped_ = 0;
+    push(SpanEvent{when, 0, 0.0, catTracks_[idx], detail,
+                   SpanPhase::Instant, catName(cat)});
 }
 
 TrackId
@@ -113,22 +73,7 @@ Tracer::enableSpans(std::size_t capacity)
 void
 Tracer::snapState(snap::Io &io)
 {
-    io.check(capacity_, "Tracer::capacity");
     io.pod(enabled_);
-    io.pod(emitted_);
-    io.pod(dropped_);
-
-    std::uint64_t n = io.count(buffer_.size());
-    if (io.restoring()) {
-        buffer_.clear();
-        buffer_.resize(static_cast<std::size_t>(n));
-    }
-    for (auto &r : buffer_) {
-        io.pod(r.when);
-        io.pod(r.cat);
-        io.str(r.text);
-    }
-
     io.pod(spansOn_);
     io.pod(spanCapacity_);
     io.pod(spansDropped_);
@@ -137,7 +82,7 @@ Tracer::snapState(snap::Io &io)
     // padding, and the capture image must be byte-deterministic.
     // The name pointer is a process-lifetime literal, so storing it
     // verbatim is safe for the in-memory image.
-    n = io.count(spans_.size());
+    std::uint64_t n = io.count(spans_.size());
     if (io.restoring()) {
         spans_.clear();
         spans_.reserve(

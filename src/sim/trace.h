@@ -3,27 +3,22 @@
  * Structured event tracing.
  *
  * The K2 prototype "includes extensive debugging support" (Table 2);
- * this is our equivalent, in two layers:
+ * this is our equivalent: a *structured span* stream of POD events
+ * (begin/end, complete spans, instants, counter samples) on named
+ * tracks, recorded into a buffer whose capacity is reserved when spans
+ * are enabled, so the hot path never allocates -- when the buffer
+ * fills, further events are counted as dropped rather than grown. The
+ * obs layer serialises this stream into a Chrome trace_event
+ * (catapult) JSON file off the hot path. Components register their
+ * tracks at construction time (cheap, deduplicated by name); recording
+ * is a single flag test when spans are disabled.
  *
- *  - A per-engine ring buffer of categorised, timestamped *text*
- *    records that OS components emit on their interesting transitions
- *    (dispatches, DSM faults, interrupt reroutes, NightWatch suspends,
- *    balloon moves). Off by default; costs one branch when disabled.
- *    Emitted through the K2_TRACE macro.
- *
- *  - A *structured span* stream: POD events (begin/end, complete
- *    spans, instants, counter samples) on named tracks, recorded into
- *    a buffer whose capacity is reserved when spans are enabled, so
- *    the hot path never allocates -- when the buffer fills, further
- *    events are counted as dropped rather than grown. The obs layer
- *    serialises this stream into a Chrome trace_event (catapult) JSON
- *    file off the hot path. Components register their tracks at
- *    construction time (cheap, deduplicated by name); recording is a
- *    single flag test when spans are disabled.
- *
- * When both layers are on, every K2_TRACE record is mirrored as an
- * instant event on a per-category track, so the textual trace shows up
- * on the timeline too.
+ * OS components also narrate their interesting transitions
+ * (dispatches, DSM faults, interrupt reroutes, NightWatch suspends,
+ * balloon moves) through the K2_TRACE macro. Each such line is an
+ * instant on its category's `trace.<cat>` track carrying the formatted
+ * text as its detail string; categories are selected by a bitmask and
+ * cost one branch when off.
  */
 
 #ifndef K2_SIM_TRACE_H
@@ -31,9 +26,7 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <map>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -84,14 +77,6 @@ using TrackId = std::uint32_t;
 class Tracer
 {
   public:
-    /** One text trace record. */
-    struct Record
-    {
-        Time when;
-        TraceCat cat;
-        std::string text;
-    };
-
     /** One structured span event (POD; see SpanPhase). */
     struct SpanEvent
     {
@@ -107,12 +92,7 @@ class Tracer
 
     static constexpr std::uint32_t kNoDetail = 0xffffffffu;
 
-    /** @param capacity Text ring-buffer size in records. */
-    explicit Tracer(std::size_t capacity = 4096)
-        : capacity_(capacity)
-    {}
-
-    /** @name Text records (K2_TRACE). @{ */
+    /** @name Text instants (K2_TRACE). @{ */
 
     /** Enable the categories in @p mask (in addition to current). */
     void enable(std::uint32_t mask) { enabled_ |= mask; }
@@ -120,32 +100,17 @@ class Tracer
     /** Disable the categories in @p mask. */
     void disable(std::uint32_t mask) { enabled_ &= ~mask; }
 
-    /** True if @p cat is enabled (call before formatting). */
+    /** True if spans are on and @p cat is enabled (call before
+     *  formatting). */
     bool
     on(TraceCat cat) const
     {
-        return (enabled_ & traceMask(cat)) != 0;
+        return spansOn_ && (enabled_ & traceMask(cat)) != 0;
     }
 
-    /** Append a record (no-op unless the category is enabled). */
-    void record(Time when, TraceCat cat, std::string text);
-
-    /** Records currently buffered, oldest first. */
-    const std::deque<Record> &records() const { return buffer_; }
-
-    /** Records of one category, oldest first. */
-    std::vector<Record> ofCategory(TraceCat cat) const;
-
-    /** Total records emitted (including those rotated out). */
-    std::uint64_t emitted() const { return emitted_; }
-
-    /** Records lost to ring-buffer rotation. */
-    std::uint64_t dropped() const { return dropped_; }
-
-    /** Render all buffered records, one per line. */
-    void dump(std::ostream &os) const;
-
-    void clear();
+    /** Record @p text as an instant on @p cat's `trace.<cat>` track.
+     *  Callers test on(cat) first (K2_TRACE does). */
+    void textInstant(Time when, TraceCat cat, std::string text);
 
     /** Printable category name. */
     static const char *catName(TraceCat cat);
@@ -232,8 +197,8 @@ class Tracer
     /** @} */
 
     /**
-     * Capture/restore all tracer state: enabled masks, the text ring
-     * buffer, span cursors and events, and the track registry (tracks
+     * Capture/restore all tracer state: enabled masks, span cursors
+     * and events, and the track registry (tracks
      * added after capture are pruned; they re-register on replay with
      * the same ids). Span name pointers are process-lifetime literals,
      * so the image is valid in-memory only.
@@ -251,11 +216,7 @@ class Tracer
         spans_.push_back(e);
     }
 
-    std::size_t capacity_;
     std::uint32_t enabled_ = 0;
-    std::deque<Record> buffer_;
-    std::uint64_t emitted_ = 0;
-    std::uint64_t dropped_ = 0;
 
     bool spansOn_ = false;
     std::size_t spanCapacity_ = 0;

@@ -1,6 +1,7 @@
 #include "workloads/sweep.h"
 
 #include "os/coherence/protocol.h"
+#include "sim/log.h"
 
 #include <atomic>
 #include <cstdio>
@@ -18,15 +19,12 @@ namespace wl {
 struct SweepRunner::CellState
 {
     LaneCell fn;               //!< Plain cells wrap to ignore the lane.
-    std::string out;           //!< Captured inform() text.
-    std::string err;           //!< Captured warn()/trace() text.
     std::exception_ptr error;  //!< Set if the cell threw.
 };
 
 SweepRunner::SweepRunner(unsigned jobs)
     : jobs_(jobs ? jobs
-                 : std::max(1u, std::thread::hardware_concurrency())),
-      cellLevel_(sim::logLevel())
+                 : std::max(1u, std::thread::hardware_concurrency()))
 {
 }
 
@@ -48,17 +46,13 @@ SweepRunner::submit(Cell cell)
 std::size_t
 SweepRunner::submitLane(LaneCell cell)
 {
-    cells_.push_back(CellState{std::move(cell), {}, {}, nullptr});
+    cells_.push_back(CellState{std::move(cell), nullptr});
     return cells_.size() - 1;
 }
 
 void
 SweepRunner::runCell(CellState &cell, std::size_t lane)
 {
-    // Thread-confined log configuration: the cell's engine(s) log at
-    // cellLevel_ into the cell's private buffers, so concurrent cells
-    // never share the log knob or interleave output.
-    sim::ScopedLogConfig scope(cellLevel_, &cell.out, &cell.err);
     try {
         cell.fn(lane);
     } catch (...) {
@@ -77,8 +71,7 @@ SweepRunner::run()
 
     if (workers <= 1) {
         // Serial reference behaviour: the calling thread runs every
-        // cell in submission order (still under capture, so the
-        // emitted bytes match the parallel path exactly).
+        // cell in submission order.
         for (CellState &cell : cells_)
             runCell(cell, 0);
     } else {
@@ -134,24 +127,15 @@ SweepRunner::run()
             t.join();
     }
 
-    // Replay captured output in submission order, then surface the
-    // first failure. Replay happens even when a cell failed, so a
-    // fatal cell's context is visible before the throw. Routing via
-    // logToOut/logToErr keeps replay composable: a caller that is
-    // itself running under a ScopedLogConfig captures the replayed
-    // text instead of it hitting the real streams.
-    for (CellState &cell : cells_) {
-        if (!cell.out.empty())
-            sim::logToOut(cell.out);
-        if (!cell.err.empty())
-            sim::logToErr(cell.err);
-    }
+    // Flush what the caller printed before the sweep: it keeps its
+    // place relative to stderr, and survives a rethrow below that
+    // ends the program uncaught.
     std::fflush(stdout);
 
     // Surface failures: identify the first failed cell by submission
-    // index, log how many further failures are being suppressed, then
-    // rethrow wrapped with the cell index so the caller can tell
-    // *which* configuration blew up.
+    // index and rethrow wrapped with the cell index (and the count of
+    // further failures it stands for), so the caller can tell *which*
+    // configuration blew up and how many others did too.
     std::exception_ptr first;
     std::size_t firstIdx = 0;
     std::size_t failed = 0;
@@ -167,18 +151,21 @@ SweepRunner::run()
     cells_.clear();
     if (!first)
         return;
-    if (failed > 1)
-        sim::warnImpl("sweep: %zu cell(s) failed; reporting cell %zu "
-                      "only, suppressing %zu more",
-                      failed, firstIdx, failed - 1);
+    const std::string suppressed =
+        failed > 1 ? sim::strPrintf(" [%zu cell(s) failed; suppressing "
+                                    "%zu more]",
+                                    failed, failed - 1)
+                   : std::string();
     try {
         std::rethrow_exception(first);
     } catch (const sim::FatalError &e) {
         throw sim::FatalError(sim::strPrintf(
-            "sweep cell %zu: %s", firstIdx, e.what()));
+            "sweep cell %zu: %s%s", firstIdx, e.what(),
+            suppressed.c_str()));
     } catch (const std::exception &e) {
         throw std::runtime_error(sim::strPrintf(
-            "sweep cell %zu: %s", firstIdx, e.what()));
+            "sweep cell %zu: %s%s", firstIdx, e.what(),
+            suppressed.c_str()));
     }
     // Non-std exceptions propagate unwrapped from the rethrow above.
 }

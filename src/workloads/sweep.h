@@ -18,14 +18,10 @@
  *    caller reads after run() (typically a slot in a pre-sized
  *    vector, indexed by submission order). The runner never reorders
  *    or merges results itself.
- *  - Logs: each cell runs under a sim::ScopedLogConfig that captures
- *    the warn()/inform()/trace() text the cell emits; the runner
- *    replays the captured streams to stderr/stdout in submission
- *    order after all cells finish. Concurrent cells can therefore
- *    never interleave output.
  *  - Errors: a FatalError (or any exception) thrown inside a cell is
  *    rethrown on the caller's thread, lowest submission index first,
- *    after the pool has drained.
+ *    after the pool has drained; the message counts any further
+ *    failures it suppresses.
  *
  * With jobs() == 1 the calling thread executes the cells in
  * submission order with no pool at all -- exactly the serial
@@ -40,8 +36,6 @@
 #include <functional>
 #include <string>
 #include <vector>
-
-#include "sim/log.h"
 
 namespace k2 {
 
@@ -95,8 +89,7 @@ class SweepRunner
 
     /**
      * Queue a cell. Cells are independent; they may run on any worker
-     * in any order, but captured logs and error reporting follow
-     * submission order.
+     * in any order, but error reporting follows submission order.
      *
      * @return The cell's submission index.
      */
@@ -106,24 +99,18 @@ class SweepRunner
     std::size_t submitLane(LaneCell cell);
 
     /**
-     * Run all submitted cells to completion and replay their captured
-     * log output in submission order (cell stdout text to stdout,
-     * stderr text to stderr). After every cell has finished, the
-     * first failed cell's exception (by submission order) is rethrown
-     * wrapped with its cell index; when several cells failed, the
-     * count of additionally suppressed failures is logged as a
-     * warning first. FatalError stays FatalError; other exceptions
-     * rethrow as std::runtime_error carrying the original message.
-     * Afterwards the runner is empty and may be reused.
+     * Run all submitted cells to completion. After every cell has
+     * finished, the first failed cell's exception (by submission
+     * order) is rethrown wrapped with its cell index; when several
+     * cells failed, the message also carries the failure count and
+     * how many it suppresses. FatalError stays FatalError; other
+     * exceptions rethrow as std::runtime_error carrying the original
+     * message. Afterwards the runner is empty and may be reused.
      */
     void run();
 
     /** Number of cells currently queued. */
     std::size_t size() const;
-
-    /** The log verbosity cells run under (defaults to the process
-     *  default at construction). */
-    void setCellLogLevel(sim::LogLevel level) { cellLevel_ = level; }
 
   private:
     struct CellState;
@@ -131,7 +118,6 @@ class SweepRunner
     void runCell(CellState &cell, std::size_t lane);
 
     unsigned jobs_;
-    sim::LogLevel cellLevel_;
     std::vector<CellState> cells_;
 };
 

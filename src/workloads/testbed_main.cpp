@@ -204,8 +204,8 @@ runChain(const Options &opt, k2::wl::SweepMode sweep, int run,
 
     const bool exportArtifacts = run == 0;
     if (exportArtifacts && !opt.traceFile.empty()) {
-        // Structured spans plus the text records mirrored onto
-        // per-category tracks.
+        // Structured spans plus every K2_TRACE category's text
+        // instants on its trace.<cat> track.
         tb.engine().tracer().enableSpans();
         tb.engine().tracer().enable(sim::kTraceAll);
     }

@@ -376,7 +376,7 @@ TEST(Recovery, DsmRetriesLostGrant)
     cfg.soc.costs.inactiveTimeout = 0;
     // Slow the ARQ way down so the DSM's own fault-timeout retry is
     // what recovers the lost GetExclusive.
-    cfg.recovery.mail.rto = sim::msec(20);
+    cfg.recovery.mail.retry.timeout = sim::msec(20);
     // Drop the first tracked mail after t=9ms: the quiet window before
     // the main kernel's reads start pulling shadow-owned pages.
     fault::FaultSpec drop;

@@ -456,7 +456,7 @@ TEST_F(NDsmTest, RetryBacksOffToTheCap)
     touch(2, 8);
     kernels[2]->setMailHandler(
         [](soc::Mail, soc::Core &) -> Task<void> { co_return; });
-    Dsm::RetryPolicy policy;
+    RetryPolicy policy;
     policy.timeout = sim::usec(100);
     dsm->setRetryPolicy(policy);
     ASSERT_EQ(policy.maxTimeout, sim::msec(4));
@@ -505,7 +505,7 @@ TEST(NDsmRecovery, ReclaimUnblocksPagesTheDeadKernelWasFaultingOn)
         plan.add(crash);
         fault::FaultInjector inj(d.eng, plan);
         d.soc->attachFaultInjector(&inj);
-        Dsm::RetryPolicy policy;
+        RetryPolicy policy;
         policy.timeout = sim::usec(100);
         d.dsm->setRetryPolicy(policy);
 

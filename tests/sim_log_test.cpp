@@ -1,110 +1,16 @@
 /**
  * @file
- * Log configuration tests: the process default is a plain fallback,
- * ScopedLogConfig overrides are thread-confined and nest, and capture
- * sinks receive exactly the text the scope's level permits.
+ * Error-reporting tests: K2_FATAL throws a FatalError carrying the
+ * formatted message.
  */
 
 #include <gtest/gtest.h>
-
-#include <string>
-#include <thread>
-#include <vector>
 
 #include "sim/log.h"
 
 namespace {
 
 using namespace k2::sim;
-
-TEST(ScopedLogConfig, OverridesLevelAndRestoresOnExit)
-{
-    ASSERT_EQ(logLevel(), LogLevel::Normal);
-    {
-        ScopedLogConfig quiet(LogLevel::Quiet);
-        EXPECT_EQ(logLevel(), LogLevel::Quiet);
-        {
-            ScopedLogConfig loud(LogLevel::Verbose);
-            EXPECT_EQ(logLevel(), LogLevel::Verbose);
-        }
-        EXPECT_EQ(logLevel(), LogLevel::Quiet);
-    }
-    EXPECT_EQ(logLevel(), LogLevel::Normal);
-}
-
-TEST(ScopedLogConfig, CapturesStreamsSeparately)
-{
-    std::string out;
-    std::string err;
-    {
-        ScopedLogConfig scope(LogLevel::Verbose, &out, &err);
-        informImpl("status %d", 1);
-        warnImpl("careful %d", 2);
-        traceImpl("detail %d", 3);
-    }
-    EXPECT_EQ(out, "info: status 1\n");
-    EXPECT_EQ(err, "warn: careful 2\ntrace: detail 3\n");
-}
-
-TEST(ScopedLogConfig, LevelFiltersInsideScope)
-{
-    std::string out;
-    std::string err;
-    {
-        ScopedLogConfig scope(LogLevel::Quiet, &out, &err);
-        informImpl("dropped");
-        warnImpl("dropped");
-        traceImpl("dropped");
-    }
-    EXPECT_TRUE(out.empty());
-    EXPECT_TRUE(err.empty());
-
-    {
-        ScopedLogConfig scope(LogLevel::Normal, &out, &err);
-        traceImpl("dropped at Normal");
-        warnImpl("kept");
-    }
-    EXPECT_TRUE(out.empty());
-    EXPECT_EQ(err, "warn: kept\n");
-}
-
-TEST(ScopedLogConfig, LogToHelpersRouteThroughActiveScope)
-{
-    std::string out;
-    std::string err;
-    {
-        ScopedLogConfig scope(LogLevel::Normal, &out, &err);
-        logToOut("raw stdout text\n");
-        logToErr("raw stderr text\n");
-    }
-    EXPECT_EQ(out, "raw stdout text\n");
-    EXPECT_EQ(err, "raw stderr text\n");
-}
-
-TEST(ScopedLogConfig, ThreadConfinedNoCrossTalkOrInterleaving)
-{
-    // Two threads log concurrently at different levels into private
-    // sinks. With the old process-global level this raced; now each
-    // thread's text must land whole, in order, in its own buffer.
-    constexpr int kLines = 500;
-    std::string a_err, b_err;
-    auto body = [](const char *tag, LogLevel level, std::string *err) {
-        ScopedLogConfig scope(level, nullptr, err);
-        for (int i = 0; i < kLines; ++i)
-            warnImpl("%s %d", tag, i);
-    };
-    std::thread a(body, "alpha", LogLevel::Normal, &a_err);
-    std::thread b(body, "beta", LogLevel::Quiet, &b_err);
-    a.join();
-    b.join();
-
-    std::string want;
-    for (int i = 0; i < kLines; ++i)
-        want += strPrintf("warn: alpha %d\n", i);
-    EXPECT_EQ(a_err, want);
-    EXPECT_TRUE(b_err.empty());
-    EXPECT_EQ(logLevel(), LogLevel::Normal);
-}
 
 TEST(Log, FatalThrowsWithMessage)
 {

@@ -1,12 +1,14 @@
 /**
  * @file
- * Tests for the tracing subsystem: enable/disable masks, ring-buffer
- * rotation, category filtering, and the OS components' emit sites.
+ * Tests for K2_TRACE text instants: the category mask, the spans-off
+ * fast path, and the OS components' emit sites, all observed on the
+ * span stream's `trace.<cat>` tracks.
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <string>
+#include <vector>
 
 #include "sim/trace.h"
 #include "workloads/testbed.h"
@@ -15,56 +17,63 @@ namespace k2 {
 namespace {
 
 using kern::Thread;
+using sim::SpanPhase;
 using sim::Task;
 using sim::TraceCat;
 using sim::Tracer;
 
+/** Detail texts of the instants on @p cat's trace track, in order. */
+std::vector<std::string>
+instantsOn(const Tracer &tr, TraceCat cat)
+{
+    const std::string track = std::string("trace.") + Tracer::catName(cat);
+    std::vector<std::string> out;
+    for (const auto &e : tr.spanEvents()) {
+        if (e.phase != SpanPhase::Instant ||
+            tr.trackNames().at(e.track) != track)
+            continue;
+        out.push_back(e.detail == Tracer::kNoDetail
+                          ? std::string()
+                          : tr.spanDetail(e.detail));
+    }
+    return out;
+}
+
 TEST(Tracer, DisabledByDefaultAndCheap)
 {
-    Tracer tr;
+    sim::Engine eng;
+    Tracer &tr = eng.tracer();
     EXPECT_FALSE(tr.on(TraceCat::Sched));
-    tr.record(0, TraceCat::Sched, "ignored");
-    EXPECT_EQ(tr.emitted(), 0u);
-    EXPECT_TRUE(tr.records().empty());
+
+    // Categories alone do not turn tracing on: with spans off, on() is
+    // false and K2_TRACE never formats its arguments.
+    tr.enable(sim::kTraceAll);
+    EXPECT_FALSE(tr.on(TraceCat::Sched));
+    int formatted = 0;
+    K2_TRACE(eng, TraceCat::Sched, "%d", ++formatted);
+    EXPECT_EQ(formatted, 0);
+    EXPECT_TRUE(tr.spanEvents().empty());
 }
 
 TEST(Tracer, MaskControlsCategories)
 {
-    Tracer tr;
+    sim::Engine eng;
+    Tracer &tr = eng.tracer();
+    tr.enableSpans(64);
     tr.enable(traceMask(TraceCat::Dsm) | traceMask(TraceCat::Nw));
     EXPECT_TRUE(tr.on(TraceCat::Dsm));
     EXPECT_TRUE(tr.on(TraceCat::Nw));
     EXPECT_FALSE(tr.on(TraceCat::Irq));
-    tr.record(1, TraceCat::Dsm, "a");
-    tr.record(2, TraceCat::Irq, "b");
-    EXPECT_EQ(tr.emitted(), 1u);
+    K2_TRACE(eng, TraceCat::Dsm, "a");
+    K2_TRACE(eng, TraceCat::Irq, "b");
+    EXPECT_EQ(instantsOn(tr, TraceCat::Dsm),
+              std::vector<std::string>{"a"});
+    EXPECT_TRUE(instantsOn(tr, TraceCat::Irq).empty());
+
     tr.disable(traceMask(TraceCat::Dsm));
-    tr.record(3, TraceCat::Dsm, "c");
-    EXPECT_EQ(tr.emitted(), 1u);
-}
-
-TEST(Tracer, RingBufferRotates)
-{
-    Tracer tr(4);
-    tr.enable(sim::kTraceAll);
-    for (int i = 0; i < 10; ++i)
-        tr.record(static_cast<sim::Time>(i), TraceCat::Sched,
-                  "r" + std::to_string(i));
-    EXPECT_EQ(tr.emitted(), 10u);
-    EXPECT_EQ(tr.dropped(), 6u);
-    ASSERT_EQ(tr.records().size(), 4u);
-    EXPECT_EQ(tr.records().front().text, "r6");
-    EXPECT_EQ(tr.records().back().text, "r9");
-}
-
-TEST(Tracer, DumpRendersOneLinePerRecord)
-{
-    Tracer tr;
-    tr.enable(sim::kTraceAll);
-    tr.record(sim::usec(5), TraceCat::Mail, "hello");
-    std::ostringstream os;
-    tr.dump(os);
-    EXPECT_NE(os.str().find("[mail] hello"), std::string::npos);
+    EXPECT_FALSE(tr.on(TraceCat::Dsm));
+    K2_TRACE(eng, TraceCat::Dsm, "c");
+    EXPECT_EQ(tr.spanEvents().size(), 1u);
 }
 
 TEST(Tracer, OsComponentsEmitOnTheirTransitions)
@@ -72,6 +81,7 @@ TEST(Tracer, OsComponentsEmitOnTheirTransitions)
     os::K2Config cfg;
     cfg.soc.costs.inactiveTimeout = 0;
     auto tb = wl::Testbed::makeK2(cfg);
+    tb.engine().tracer().enableSpans();
     tb.engine().tracer().enable(sim::kTraceAll);
 
     // One NightWatch + Normal interaction with a DSM-touching service
@@ -87,36 +97,35 @@ TEST(Tracer, OsComponentsEmitOnTheirTransitions)
     tb.engine().run();
 
     const auto &tr = tb.engine().tracer();
-    EXPECT_GT(tr.ofCategory(TraceCat::Sched).size(), 0u);
-    EXPECT_GT(tr.ofCategory(TraceCat::Mail).size(), 0u);
-    EXPECT_GT(tr.ofCategory(TraceCat::Dsm).size(), 0u);
-    EXPECT_GT(tr.ofCategory(TraceCat::Nw).size(), 0u);
+    ASSERT_EQ(tr.spansDropped(), 0u);
+    EXPECT_FALSE(instantsOn(tr, TraceCat::Mail).empty());
+    EXPECT_FALSE(instantsOn(tr, TraceCat::Dsm).empty());
+    EXPECT_FALSE(instantsOn(tr, TraceCat::Nw).empty());
 
-    // A specific, human-readable record exists.
+    // A specific, human-readable instant exists.
     bool saw_dispatch = false;
-    for (const auto &r : tr.records()) {
-        if (r.text.find("dispatch 'fg'") != std::string::npos)
+    for (const auto &text : instantsOn(tr, TraceCat::Sched)) {
+        if (text.find("dispatch 'fg'") != std::string::npos)
             saw_dispatch = true;
     }
     EXPECT_TRUE(saw_dispatch);
-
-    tb.engine().tracer().clear();
-    EXPECT_TRUE(tb.engine().tracer().records().empty());
 }
 
 TEST(Tracer, IrqRerouteEmits)
 {
     auto tb = wl::Testbed::makeK2(); // default 5 s gating
+    tb.engine().tracer().enableSpans();
     tb.engine().tracer().enable(traceMask(TraceCat::Irq));
     tb.sys().spawnNormal(tb.proc(), "t",
                          [&](Thread &t) -> Task<void> {
                              co_await t.exec(1000);
                          });
     tb.engine().run(); // strong domain eventually gates -> reroute
-    const auto irq = tb.engine().tracer().ofCategory(TraceCat::Irq);
-    ASSERT_GT(irq.size(), 0u);
-    EXPECT_NE(irq.back().text.find("rerouted to weak"),
-              std::string::npos);
+    const auto &tr = tb.engine().tracer();
+    ASSERT_EQ(tr.spansDropped(), 0u);
+    const auto irq = instantsOn(tr, TraceCat::Irq);
+    ASSERT_FALSE(irq.empty());
+    EXPECT_NE(irq.back().find("rerouted to weak"), std::string::npos);
 }
 
 } // namespace

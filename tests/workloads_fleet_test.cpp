@@ -11,7 +11,6 @@
 
 #include <string>
 
-#include "sim/log.h"
 #include "workloads/fleet.h"
 
 namespace {
@@ -95,7 +94,6 @@ TEST(Fleet, ByteIdenticalAtAnyJobsAndSweepMode)
 {
     // The headline determinism contract: same config => byte-identical
     // text report and JSON artifact at jobs 1/4/13 and warm vs cold.
-    sim::ScopedLogConfig quiet(sim::LogLevel::Quiet);
     wl::FleetConfig cfg;
     cfg.devices = 300; // 3 cells of 128 -- exercises sharding
     cfg.hours = 6.0;
@@ -143,7 +141,6 @@ TEST(FleetCalibration, MemoizedEqualsFreshBitForBit)
     // measuring a freshly provisioned fixture, in both sweep modes
     // (the snapshot layer's warm==cold guarantee transfers to the
     // calibration numbers).
-    sim::ScopedLogConfig quiet(sim::LogLevel::Quiet);
     const std::string key = "fleet-test:memo";
 
     const wl::Calibration &cached =
@@ -176,7 +173,6 @@ TEST(FleetCalibration, MemoizedEqualsFreshBitForBit)
 
 TEST(Fleet, DiurnalModulationIsDeterministicAndJobsInvariant)
 {
-    sim::ScopedLogConfig quiet(sim::LogLevel::Quiet);
     wl::FleetConfig cfg;
     cfg.devices = 300;
     cfg.hours = 6.0;
@@ -209,7 +205,6 @@ TEST(Fleet, DiurnalModulationIsDeterministicAndJobsInvariant)
 
 TEST(Fleet, SeedAndMixChangeTheReport)
 {
-    sim::ScopedLogConfig quiet(sim::LogLevel::Quiet);
     wl::FleetConfig cfg;
     cfg.devices = 64;
     cfg.hours = 2.0;
