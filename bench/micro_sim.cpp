@@ -24,7 +24,6 @@
 #include "sim/engine.h"
 #include "sim/random.h"
 #include "sim/sketch.h"
-#include "sim/sync.h"
 #include "snap/snapshot.h"
 #include "soc/mmu.h"
 #include "kern/buddy.h"
@@ -265,18 +264,6 @@ BM_TaskAwaitChain(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TaskAwaitChain);
-
-void
-BM_ChannelSendRecv(benchmark::State &state)
-{
-    sim::Engine eng;
-    sim::Channel<int> chan(eng);
-    for (auto _ : state) {
-        chan.send(1);
-        benchmark::DoNotOptimize(chan.tryRecv());
-    }
-}
-BENCHMARK(BM_ChannelSendRecv);
 
 void
 BM_BuddyAllocFree(benchmark::State &state)

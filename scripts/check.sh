@@ -3,6 +3,10 @@
 #
 # Usage: scripts/check.sh [--asan | --tsan | --bench]
 #
+# The default pass also runs scripts/deadcode.sh, which fails on any
+# k2:: function that no product binary reaches and that
+# scripts/deadcode.allow does not list.
+#
 # With --asan, builds into build-asan/ with AddressSanitizer + UBSan
 # (-DK2_SANITIZE=ON); this continuously checks the engine's manual
 # event-pool allocator for lifetime bugs.
@@ -113,6 +117,13 @@ if [ "$MODE" = "--tsan" ]; then
 fi
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
+
+# Dead-code scan: every k2:: function a src/ library defines must be
+# reached by a product binary or be listed in scripts/deadcode.allow.
+# It builds its own tree, so the sanitizer pass skips it.
+if [ "$MODE" != "--asan" ]; then
+    scripts/deadcode.sh
+fi
 
 # Observability smoke: one short testbed run must emit a metrics
 # snapshot and a Chrome trace that both parse as JSON.

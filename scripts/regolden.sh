@@ -1,0 +1,40 @@
+#!/usr/bin/env bash
+# Rewrite the tracked golden artifacts (tests/golden/*.txt) from a
+# build's current output, then show what moved. Do this only for an
+# intended model change, and commit the golden diff with that change.
+#
+# Usage: scripts/regolden.sh [build-dir]   (default: build)
+#
+# The goldens are whatever k2_golden_test registers in
+# tests/CMakeLists.txt: each <NAME>_golden ctest runs a command and
+# diffs its stdout against tests/golden/<NAME>.txt. This script reads
+# those commands back from ctest and reruns them.
+
+set -euo pipefail
+
+ROOT="$(cd "$(dirname "$0")/.." && pwd)"
+cd "$ROOT"
+
+BUILD_DIR="${1:-build}"
+GEN=()
+if [ ! -f "$BUILD_DIR/CMakeCache.txt" ]; then
+    GEN=(-G Ninja)
+fi
+cmake -B "$BUILD_DIR" -S . "${GEN[@]}" >/dev/null
+cmake --build "$BUILD_DIR" -j"$(nproc)"
+
+ctest --test-dir "$BUILD_DIR" -R '_golden$' --show-only=json-v1 \
+    > "$BUILD_DIR/golden-tests.json"
+python3 - "$BUILD_DIR/golden-tests.json" <<'EOF'
+import json, subprocess, sys
+
+tests = json.load(open(sys.argv[1]))["tests"]
+for t in tests:
+    # k2_golden_test registers: sh -c SCRIPT GOLDEN TARGET ARGS...
+    golden, cmd = t["command"][3], t["command"][4:]
+    out = subprocess.run(cmd, check=True, stdout=subprocess.PIPE).stdout
+    with open(golden, "wb") as f:
+        f.write(out)
+print(f"regolden: rewrote {len(tests)} golden file(s)")
+EOF
+git diff --stat -- tests/golden

@@ -182,13 +182,6 @@ BuddyAllocator::isAllocated(Pfn pfn) const
     return meta(pfn).state == PageState::AllocHead;
 }
 
-Migrate
-BuddyAllocator::migrateOf(Pfn pfn) const
-{
-    K2_ASSERT(meta(pfn).state == PageState::AllocHead);
-    return meta(pfn).migrate;
-}
-
 std::uint64_t
 BuddyAllocator::addFreeRange(PageRange range)
 {

@@ -240,9 +240,6 @@ class BuddyAllocator
     /** True if @p pfn is the head of a live allocation. */
     bool isAllocated(Pfn pfn) const;
 
-    /** Mobility of a live allocation (head pfn). */
-    Migrate migrateOf(Pfn pfn) const;
-
     /**
      * Donate a page range to the allocator (balloon deflate / boot).
      *

@@ -5,20 +5,6 @@
 namespace k2 {
 namespace kern {
 
-const char *
-serviceClassName(ServiceClass c)
-{
-    switch (c) {
-      case ServiceClass::Private:
-        return "private";
-      case ServiceClass::Independent:
-        return "independent";
-      case ServiceClass::Shadowed:
-        return "shadowed";
-    }
-    return "?";
-}
-
 void
 ServiceRegistry::classify(const std::string &service, ServiceClass cls)
 {
@@ -32,12 +18,6 @@ ServiceRegistry::of(const std::string &service) const
     if (it == map_.end())
         K2_FATAL("unknown OS service '%s'", service.c_str());
     return it->second;
-}
-
-bool
-ServiceRegistry::known(const std::string &service) const
-{
-    return map_.count(service) != 0;
 }
 
 std::vector<std::string>

@@ -31,9 +31,6 @@ enum class ServiceClass
     Shadowed,
 };
 
-/** Printable name of a service class. */
-const char *serviceClassName(ServiceClass c);
-
 class ServiceRegistry
 {
   public:
@@ -42,8 +39,6 @@ class ServiceRegistry
 
     /** Look up a service; fatal if unknown. */
     ServiceClass of(const std::string &service) const;
-
-    bool known(const std::string &service) const;
 
     /** All services of a given class, sorted by name. */
     std::vector<std::string> listed(ServiceClass cls) const;

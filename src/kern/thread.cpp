@@ -177,12 +177,5 @@ Thread::yield()
     co_await parkAs(State::Ready);
 }
 
-// Mutable engine access for shouldPark (const path).
-bool
-threadDebugIsParked(const Thread &t)
-{
-    return t.state() != Thread::State::Running;
-}
-
 } // namespace kern
 } // namespace k2

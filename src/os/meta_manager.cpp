@@ -8,12 +8,6 @@ namespace os {
 
 MetaLevelManager::MetaLevelManager(soc::Soc &soc,
                                    std::array<kern::Kernel *, 2> kernels,
-                                   kern::PageRange global)
-    : MetaLevelManager(soc, kernels, global, Config{})
-{}
-
-MetaLevelManager::MetaLevelManager(soc::Soc &soc,
-                                   std::array<kern::Kernel *, 2> kernels,
                                    kern::PageRange global, Config cfg)
     : soc_(soc), kernels_(kernels), global_(global), cfg_(cfg)
 {

@@ -53,10 +53,8 @@ class MetaLevelManager
      * @param soc Platform.
      * @param kernels Main (0) and shadow (1) kernels.
      * @param global The global region from the address-space layout.
+     * @param cfg Watermark and spinlock settings.
      */
-    MetaLevelManager(soc::Soc &soc,
-                     std::array<kern::Kernel *, 2> kernels,
-                     kern::PageRange global);
     MetaLevelManager(soc::Soc &soc,
                      std::array<kern::Kernel *, 2> kernels,
                      kern::PageRange global, Config cfg);

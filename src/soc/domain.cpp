@@ -61,15 +61,5 @@ CoherenceDomain::flushTime(std::size_t bytes) const
     return static_cast<sim::Duration>(lines) * spec_.cacheLineFlush;
 }
 
-sim::Duration
-CoherenceDomain::refillTime(std::size_t bytes) const
-{
-    // A refill streams lines back in; charge roughly half the flush
-    // cost per line (no write-back needed).
-    const std::size_t lines =
-        (bytes + spec_.cacheLineBytes - 1) / spec_.cacheLineBytes;
-    return static_cast<sim::Duration>(lines) * (spec_.cacheLineFlush / 2);
-}
-
 } // namespace soc
 } // namespace k2

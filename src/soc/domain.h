@@ -53,12 +53,6 @@ class CoherenceDomain
      */
     sim::Duration flushTime(std::size_t bytes) const;
 
-    /**
-     * Time to refill @p bytes from RAM after an invalidation (the
-     * "cache miss on exit" component of a DSM fault).
-     */
-    sim::Duration refillTime(std::size_t bytes) const;
-
     /** Capture/restore all cores and the interrupt controller. */
     void snapState(snap::Io &io);
 

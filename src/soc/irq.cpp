@@ -39,13 +39,6 @@ InterruptController::setMasked(IrqLine line, bool masked)
 }
 
 bool
-InterruptController::isMasked(IrqLine line) const
-{
-    K2_ASSERT(line < lines_.size());
-    return lines_[line].masked;
-}
-
-bool
 InterruptController::hasHandler(IrqLine line) const
 {
     K2_ASSERT(line < lines_.size());

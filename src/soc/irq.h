@@ -63,7 +63,6 @@ class InterruptController
     /** Mask or unmask a line. Unmasking may fire a pending interrupt. */
     void setMasked(IrqLine line, bool masked);
 
-    bool isMasked(IrqLine line) const;
     bool hasHandler(IrqLine line) const;
 
     /**

@@ -107,13 +107,6 @@ MailboxNet::tryRead(DomainId domain)
     return m;
 }
 
-std::size_t
-MailboxNet::pending(DomainId domain) const
-{
-    K2_ASSERT(domain < fifos_.size());
-    return fifos_[domain].size();
-}
-
 void
 MailboxNet::snapState(snap::Io &io)
 {

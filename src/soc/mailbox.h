@@ -81,9 +81,6 @@ class MailboxNet
     /** Pop the oldest pending mail for @p domain, if any. */
     std::optional<Mail> tryRead(DomainId domain);
 
-    /** Number of mails waiting for @p domain. */
-    std::size_t pending(DomainId domain) const;
-
     /** Total mails delivered so far. */
     std::uint64_t messagesDelivered() const { return delivered_.value(); }
 

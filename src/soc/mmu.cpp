@@ -52,13 +52,6 @@ Tlb::invalidate(std::uint64_t tag)
 }
 
 void
-Tlb::flushAll()
-{
-    fifo_.clear();
-    present_.clear();
-}
-
-void
 Tlb::snapState(snap::Io &io)
 {
     io.check(capacity_, "Tlb::capacity");

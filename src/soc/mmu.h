@@ -70,9 +70,6 @@ class Tlb
     /** Invalidate one tag if present. */
     void invalidate(std::uint64_t tag);
 
-    /** Invalidate everything. */
-    void flushAll();
-
     std::uint64_t hits() const { return hits_.value(); }
     std::uint64_t misses() const { return misses_.value(); }
 

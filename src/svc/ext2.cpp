@@ -48,34 +48,6 @@ splitPath(const std::string &path)
 
 } // namespace
 
-const char *
-fsStatusName(FsStatus s)
-{
-    switch (s) {
-      case FsStatus::Ok:
-        return "ok";
-      case FsStatus::NotFound:
-        return "not found";
-      case FsStatus::Exists:
-        return "exists";
-      case FsStatus::NoSpace:
-        return "no space";
-      case FsStatus::NotADirectory:
-        return "not a directory";
-      case FsStatus::IsADirectory:
-        return "is a directory";
-      case FsStatus::BadFd:
-        return "bad fd";
-      case FsStatus::TooLarge:
-        return "too large";
-      case FsStatus::NameTooLong:
-        return "name too long";
-      case FsStatus::NotEmpty:
-        return "not empty";
-    }
-    return "?";
-}
-
 Ext2Fs::Scratch::Scratch(Ext2Fs &fs, bool zeroed) : fs_(fs)
 {
     if (fs.scratchPool_.empty()) {
@@ -773,47 +745,6 @@ Ext2Fs::stat(kern::Thread &t, const std::string &path)
     }
     unlock(t);
     co_return result;
-}
-
-sim::Task<std::vector<std::string>>
-Ext2Fs::readdir(kern::Thread &t, const std::string &path)
-{
-    co_await sys_.chargeCrossIsa(t.kernel(), t.core(), 1);
-    co_await t.exec(kOpWork);
-    co_await lock(t);
-
-    std::vector<std::string> names;
-    std::uint32_t dir_ino = sb_.rootInode;
-    bool found = true;
-    if (path != "/" && !splitPath(path).empty()) {
-        auto loc = co_await resolveParent(t, path);
-        std::optional<std::uint32_t> ino;
-        if (loc && (ino = co_await dirLookup(t, loc->parent, loc->leaf)))
-            dir_ino = *ino;
-        else
-            found = false;
-    }
-    if (found) {
-        Inode dir = co_await readInode(t, dir_ino);
-        Scratch buf(*this);
-        for (std::uint64_t off = 0; off < dir.size; off += kBlockBytes) {
-            auto blk = co_await blockFor(t, dir, off, false);
-            if (!blk)
-                continue;
-            co_await dev_.read(t, *blk, buf);
-            const std::uint64_t entries =
-                std::min<std::uint64_t>(kBlockBytes, dir.size - off) /
-                kDirEntryBytes;
-            for (std::uint64_t e = 0; e < entries; ++e) {
-                DirEntry ent;
-                std::memcpy(&ent, &buf[e * kDirEntryBytes], sizeof(ent));
-                if (ent.ino != 0)
-                    names.emplace_back(ent.name);
-            }
-        }
-    }
-    unlock(t);
-    co_return names;
 }
 
 void

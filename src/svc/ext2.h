@@ -55,8 +55,6 @@ enum class FsStatus
     NotEmpty,
 };
 
-const char *fsStatusName(FsStatus s);
-
 class Ext2Fs
 {
   public:
@@ -125,10 +123,6 @@ class Ext2Fs
 
     sim::Task<std::optional<Stat>> stat(kern::Thread &t,
                                         const std::string &path);
-
-    /** List the names in a directory. */
-    sim::Task<std::vector<std::string>> readdir(kern::Thread &t,
-                                                const std::string &path);
     /** @} */
 
     /** Free data blocks remaining. */

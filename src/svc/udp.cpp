@@ -27,28 +27,6 @@ constexpr std::uint64_t kBufPages = 2;
 
 } // namespace
 
-const char *
-netStatusName(NetStatus s)
-{
-    switch (s) {
-      case NetStatus::Ok:
-        return "ok";
-      case NetStatus::BadSocket:
-        return "bad socket";
-      case NetStatus::AddrInUse:
-        return "address in use";
-      case NetStatus::NoBufs:
-        return "no buffer space";
-      case NetStatus::WouldBlock:
-        return "would block";
-      case NetStatus::MsgTooBig:
-        return "message too big";
-      case NetStatus::PortUnreachable:
-        return "port unreachable";
-    }
-    return "?";
-}
-
 UdpStack::UdpStack(os::SystemImage &sys, std::size_t max_sockets)
     : sys_(sys), sockets_(max_sockets)
 {

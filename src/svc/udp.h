@@ -40,8 +40,6 @@ enum class NetStatus
     PortUnreachable,
 };
 
-const char *netStatusName(NetStatus s);
-
 class UdpStack
 {
   public:

@@ -216,9 +216,8 @@ mixNames()
 }
 
 DeviceModel
-makeDevice(std::uint64_t seed, std::uint64_t id, const TrafficMix &mix)
+makeDevice(std::uint64_t seed, std::uint64_t id)
 {
-    (void)mix; // Parameters are mix-relative scales.
     sim::CounterRng rng(seed, id, kStreamModel);
     return drawDevice(rng, id);
 }
@@ -296,8 +295,7 @@ synthesizeDevice(const TrafficMix &mix, const Calibration &cal,
                  std::uint64_t seed, std::uint64_t id, double hours,
                  FleetStats &into, double diurnal)
 {
-    sim::CounterRng modelRng(seed, id, kStreamModel);
-    const DeviceModel dev = drawDevice(modelRng, id);
+    const DeviceModel dev = makeDevice(seed, id);
 
     Scratch s;
     // Four device-total accumulators, combined in a fixed grouping

@@ -95,8 +95,7 @@ struct DeviceModel
 
 /** Deterministically derive device @p id's model from the fleet seed;
  *  independent of how devices are sharded into cells. */
-DeviceModel makeDevice(std::uint64_t seed, std::uint64_t id,
-                       const TrafficMix &mix);
+DeviceModel makeDevice(std::uint64_t seed, std::uint64_t id);
 
 /**
  * Per-kind measured episode cost: linear in payload bytes, fitted

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for coroutine synchronisation primitives.
+ * Unit tests for the coroutine Event latch.
  */
 
 #include <gtest/gtest.h>
@@ -69,150 +69,6 @@ TEST(Event, PulseWakesOnlyCurrentWaiters)
     eng.spawn(waiter(ev, &woken));
     eng.run();
     EXPECT_EQ(woken, 2);
-}
-
-TEST(Semaphore, LimitsConcurrency)
-{
-    Engine eng;
-    Semaphore sem(eng, 2);
-    int active = 0;
-    int peak = 0;
-
-    auto worker = [](Engine &eng, Semaphore &sem, int *active,
-                     int *peak) -> Task<void> {
-        co_await sem.acquire();
-        ++*active;
-        *peak = std::max(*peak, *active);
-        co_await eng.sleep(usec(10));
-        --*active;
-        sem.release();
-    };
-    for (int i = 0; i < 6; ++i)
-        eng.spawn(worker(eng, sem, &active, &peak));
-    eng.run();
-    EXPECT_EQ(active, 0);
-    EXPECT_EQ(peak, 2);
-    EXPECT_EQ(eng.now(), usec(30));
-}
-
-TEST(Semaphore, TryAcquire)
-{
-    Engine eng;
-    Semaphore sem(eng, 1);
-    EXPECT_TRUE(sem.tryAcquire());
-    EXPECT_FALSE(sem.tryAcquire());
-    sem.release();
-    EXPECT_TRUE(sem.tryAcquire());
-}
-
-TEST(CoMutex, MutualExclusionFifo)
-{
-    Engine eng;
-    CoMutex mtx(eng);
-    std::vector<int> order;
-
-    auto worker = [](Engine &eng, CoMutex &mtx, std::vector<int> &order,
-                     int id) -> Task<void> {
-        auto guard = co_await mtx.lock();
-        order.push_back(id);
-        co_await eng.sleep(usec(1));
-        order.push_back(id);
-    };
-    for (int i = 0; i < 3; ++i)
-        eng.spawn(worker(eng, mtx, order, i));
-    eng.run();
-    // Each id's two entries must be adjacent (no interleaving) and in
-    // FIFO order of arrival.
-    EXPECT_EQ(order, (std::vector<int>{0, 0, 1, 1, 2, 2}));
-    EXPECT_FALSE(mtx.locked());
-}
-
-TEST(Channel, FifoDelivery)
-{
-    Engine eng;
-    Channel<int> chan(eng);
-    std::vector<int> received;
-
-    eng.spawn([](Channel<int> &chan, std::vector<int> &out) -> Task<void> {
-        for (int i = 0; i < 3; ++i)
-            out.push_back(co_await chan.recv());
-    }(chan, received));
-
-    eng.at(usec(1), [&]() { chan.send(10); });
-    eng.at(usec(2), [&]() {
-        chan.send(20);
-        chan.send(30);
-    });
-    eng.run();
-    EXPECT_EQ(received, (std::vector<int>{10, 20, 30}));
-}
-
-TEST(Channel, TryRecv)
-{
-    Engine eng;
-    Channel<int> chan(eng);
-    EXPECT_FALSE(chan.tryRecv().has_value());
-    chan.send(7);
-    auto v = chan.tryRecv();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, 7);
-    EXPECT_TRUE(chan.empty());
-}
-
-TEST(Channel, MultipleReceiversServedFifo)
-{
-    Engine eng;
-    Channel<int> chan(eng);
-    std::vector<std::pair<int, int>> got; // (receiver, value)
-
-    auto rx = [](Channel<int> &chan, std::vector<std::pair<int, int>> &got,
-                 int id) -> Task<void> {
-        const int v = co_await chan.recv();
-        got.emplace_back(id, v);
-    };
-    eng.spawn(rx(chan, got, 0));
-    eng.spawn(rx(chan, got, 1));
-    eng.at(usec(1), [&]() { chan.send(100); });
-    eng.at(usec(2), [&]() { chan.send(200); });
-    eng.run();
-    ASSERT_EQ(got.size(), 2u);
-    EXPECT_EQ(got[0], std::make_pair(0, 100));
-    EXPECT_EQ(got[1], std::make_pair(1, 200));
-}
-
-TEST(WhenAll, WaitsForAllTasks)
-{
-    Engine eng;
-    int done = 0;
-    std::vector<Task<void>> tasks;
-    for (int i = 1; i <= 4; ++i) {
-        tasks.push_back([](Engine &eng, int *done, int i) -> Task<void> {
-            co_await eng.sleep(usec(static_cast<std::uint64_t>(i)));
-            ++*done;
-        }(eng, &done, i));
-    }
-    bool all_done = false;
-    eng.spawn([](Engine &eng, std::vector<Task<void>> tasks,
-                 bool *all_done, int *done) -> Task<void> {
-        co_await whenAll(eng, std::move(tasks));
-        EXPECT_EQ(*done, 4);
-        *all_done = true;
-    }(eng, std::move(tasks), &all_done, &done));
-    eng.run();
-    EXPECT_TRUE(all_done);
-    EXPECT_EQ(eng.now(), usec(4));
-}
-
-TEST(WhenAll, EmptySetCompletesImmediately)
-{
-    Engine eng;
-    bool done = false;
-    eng.spawn([](Engine &eng, bool *done) -> Task<void> {
-        co_await whenAll(eng, {});
-        *done = true;
-    }(eng, &done));
-    eng.run();
-    EXPECT_TRUE(done);
 }
 
 } // namespace

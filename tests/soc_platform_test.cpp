@@ -254,8 +254,6 @@ TEST(Tlb, FifoReplacement)
     EXPECT_FALSE(tlb.access(3)); // evicts 1 (FIFO)
     EXPECT_FALSE(tlb.access(1));
     EXPECT_EQ(tlb.size(), 2u);
-    tlb.flushAll();
-    EXPECT_EQ(tlb.size(), 0u);
 }
 
 TEST(Tlb, InvalidateSingleEntry)

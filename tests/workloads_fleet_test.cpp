@@ -36,9 +36,8 @@ TEST(FleetMix, RegistryLookup)
 
 TEST(FleetDevice, ModelDerivationIsSeedAndIdPure)
 {
-    const wl::TrafficMix &mix = *wl::findMix("default");
-    const wl::DeviceModel a = wl::makeDevice(42, 7, mix);
-    const wl::DeviceModel b = wl::makeDevice(42, 7, mix);
+    const wl::DeviceModel a = wl::makeDevice(42, 7);
+    const wl::DeviceModel b = wl::makeDevice(42, 7);
     EXPECT_EQ(a.id, 7u);
     EXPECT_EQ(a.batteryClass, b.batteryClass);
     EXPECT_EQ(a.energyScale, b.energyScale);
@@ -49,8 +48,8 @@ TEST(FleetDevice, ModelDerivationIsSeedAndIdPure)
         EXPECT_GT(a.sizeScale[k], 0.0);
     }
     // Different ids (and different seeds) draw different jitter.
-    const wl::DeviceModel c = wl::makeDevice(42, 8, mix);
-    const wl::DeviceModel d = wl::makeDevice(43, 7, mix);
+    const wl::DeviceModel c = wl::makeDevice(42, 8);
+    const wl::DeviceModel d = wl::makeDevice(43, 7);
     EXPECT_NE(a.rateScale[0], c.rateScale[0]);
     EXPECT_NE(a.rateScale[0], d.rateScale[0]);
 }
