@@ -507,27 +507,47 @@ BENCHMARK(BM_SnapshotCapture)->Unit(benchmark::kMillisecond);
 
 /**
  * Rewind a dirty testbed to its post-boot image: the per-cell cost of
- * the warm sweep path. Each iteration dirties the instance with a DMA
+ * the warm sweep path. Each iteration dirties the instance with an
  * episode (untimed) so the restore always starts from post-episode
- * state, exactly like a sweep cell.
+ * state, exactly like a sweep cell. The testbed stays synced with the
+ * image, so every restore is a delta restore: its cost follows what
+ * the episode wrote. A DMA episode writes buddy metadata and service
+ * state but no disk block; the ext2 variant also rewrites the blocks
+ * its files landed in.
  */
 void
-BM_SnapshotFork(benchmark::State &state)
+snapshotFork(benchmark::State &state, const char *name,
+             wl::Workload (*body)(wl::Testbed &))
 {
     auto tb = wl::Testbed::makeK2();
     tb.engine().run();
     const snap::Snapshot image = snap::Snapshot::of(tb);
     for (auto _ : state) {
         state.PauseTiming();
-        (void)wl::runEpisodeWarm(tb.sys(), tb.proc(), "dma",
-                                 wl::dmaCopy(tb.dma(), 4096,
-                                             64 * 1024));
+        (void)wl::runEpisodeWarm(tb.sys(), tb.proc(), name, body(tb));
         state.ResumeTiming();
         image.restore(tb);
         benchmark::DoNotOptimize(tb.engine().now());
     }
 }
-BENCHMARK(BM_SnapshotFork)->Unit(benchmark::kMillisecond);
+
+void
+BM_SnapshotFork(benchmark::State &state)
+{
+    snapshotFork(state, "dma", [](wl::Testbed &tb) {
+        return wl::dmaCopy(tb.dma(), 4096, 64 * 1024);
+    });
+}
+BENCHMARK(BM_SnapshotFork)->Unit(benchmark::kMicrosecond);
+
+void
+BM_SnapshotForkExt2(benchmark::State &state)
+{
+    snapshotFork(state, "ext2", [](wl::Testbed &tb) {
+        return wl::ext2Sync(tb.fs(), 256 * 1024);
+    });
+}
+BENCHMARK(BM_SnapshotForkExt2)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------
 // Fleet hot path. BM_FleetDeviceHour is the fleet workload's headline:

@@ -197,26 +197,6 @@ REP_ARGS=(--episodes=3 --runs=4 --replicas=3
 echo "replication smoke: election + handoff + rejoin re-sync +" \
      "artifact determinism OK"
 
-# Snapshot smoke: the boot-once sweep mode (snap::Snapshot fork per
-# cell) must produce byte-identical artifacts to cold boots, serial
-# and sharded. Also covers the fork/--faults interaction: the
-# injector's RNG streams rewind with the image.
-SNAP_DIR="$BUILD_DIR/snap-smoke"
-mkdir -p "$SNAP_DIR"
-for jobs in 1 4; do
-    "$BUILD_DIR"/bench/fig6a_dma_energy --sweep=warm --jobs="$jobs" \
-        > "$SNAP_DIR/warm_$jobs.txt"
-    "$BUILD_DIR"/bench/fig6a_dma_energy --sweep=cold --jobs="$jobs" \
-        > "$SNAP_DIR/cold_$jobs.txt"
-    diff "$SNAP_DIR/warm_$jobs.txt" "$SNAP_DIR/cold_$jobs.txt"
-done
-"$BUILD_DIR"/src/workloads/testbed --episodes=3 --runs=3 --sweep=warm \
-    --faults="mailbox.drop:p=0.2" > "$SNAP_DIR/warm_faults.txt"
-"$BUILD_DIR"/src/workloads/testbed --episodes=3 --runs=3 --sweep=cold \
-    --faults="mailbox.drop:p=0.2" > "$SNAP_DIR/cold_faults.txt"
-diff "$SNAP_DIR/warm_faults.txt" "$SNAP_DIR/cold_faults.txt"
-echo "snapshot smoke: warm (fork) vs cold artifacts identical"
-
 # Fleet smoke: a small population's report and JSON artifact must be
 # byte-identical serial vs sharded and warm vs cold (the throughput
 # line goes to stderr, so stdout diffs exactly), and the artifact must

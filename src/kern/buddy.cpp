@@ -1,6 +1,7 @@
 #include "kern/buddy.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "sim/log.h"
 #include "snap/io.h"
@@ -10,7 +11,8 @@ namespace kern {
 
 BuddyAllocator::BuddyAllocator(std::string name, Pfn base,
                                std::uint64_t npages)
-    : name_(std::move(name)), base_(base), npages_(npages), meta_(npages)
+    : name_(std::move(name)), base_(base), npages_(npages), meta_(npages),
+      touched_((npages + kChunkPages - 1) / kChunkPages, 0)
 {
     const std::uint64_t align = 1ull << kMaxOrder;
     if (base_ % align != 0)
@@ -24,11 +26,13 @@ BuddyAllocator::PageMeta &
 BuddyAllocator::meta(Pfn pfn)
 {
     K2_ASSERT(pfn >= base_ && rel(pfn) < npages_);
-    return meta_[rel(pfn)];
+    PageMeta &m = meta_[rel(pfn)];
+    touch(rel(pfn), 1);
+    return m;
 }
 
 const BuddyAllocator::PageMeta &
-BuddyAllocator::meta(Pfn pfn) const
+BuddyAllocator::page(Pfn pfn) const
 {
     K2_ASSERT(pfn >= base_ && rel(pfn) < npages_);
     return meta_[rel(pfn)];
@@ -39,6 +43,7 @@ BuddyAllocator::insertFree(Pfn pfn, unsigned order)
 {
     insertFreeHead(pfn, order);
     const std::uint64_t n = 1ull << order;
+    touch(rel(pfn), n);
     for (std::uint64_t i = 1; i < n; ++i)
         meta_[rel(pfn) + i].state = PageState::FreeBody;
 }
@@ -47,8 +52,9 @@ void
 BuddyAllocator::insertFreeHead(Pfn pfn, unsigned order)
 {
     freeLists_[order].insert(rel(pfn) >> order);
-    meta(pfn).state = PageState::FreeHead;
-    meta(pfn).order = static_cast<std::uint8_t>(order);
+    PageMeta &m = meta(pfn);
+    m.state = PageState::FreeHead;
+    m.order = static_cast<std::uint8_t>(order);
 }
 
 void
@@ -121,9 +127,11 @@ BuddyAllocator::alloc(unsigned order, Migrate migrate)
     }
 
     const std::uint64_t n = 1ull << order;
-    meta(block).state = PageState::AllocHead;
-    meta(block).order = static_cast<std::uint8_t>(order);
-    meta(block).migrate = migrate;
+    PageMeta &head = meta(block);
+    head.state = PageState::AllocHead;
+    head.order = static_cast<std::uint8_t>(order);
+    head.migrate = migrate;
+    touch(rel(block), n);
     for (std::uint64_t i = 1; i < n; ++i)
         meta_[rel(block) + i].state = PageState::AllocBody;
 
@@ -137,7 +145,7 @@ std::uint64_t
 BuddyAllocator::free(Pfn first)
 {
     freeCalls.inc();
-    PageMeta &m = meta(first);
+    const PageMeta &m = page(first);
     if (m.state != PageState::AllocHead)
         K2_PANIC("allocator '%s': free of pfn %llu which is not an "
                  "allocation head", name_.c_str(),
@@ -151,6 +159,7 @@ BuddyAllocator::free(Pfn first)
 
     // Only the freed allocation's own pages change body state; the
     // interiors of any buddies absorbed below are already FreeBody.
+    touch(rel(first), n);
     for (std::uint64_t i = 0; i < n; ++i)
         meta_[rel(first) + i].state = PageState::FreeBody;
 
@@ -162,8 +171,8 @@ BuddyAllocator::free(Pfn first)
         if (buddy_rel >= npages_)
             break;
         const Pfn buddy = base_ + buddy_rel;
-        if (meta(buddy).state != PageState::FreeHead ||
-            meta(buddy).order != order) {
+        if (page(buddy).state != PageState::FreeHead ||
+            page(buddy).order != order) {
             break;
         }
         removeFree(buddy, order);
@@ -179,7 +188,7 @@ BuddyAllocator::free(Pfn first)
 bool
 BuddyAllocator::isAllocated(Pfn pfn) const
 {
-    return meta(pfn).state == PageState::AllocHead;
+    return page(pfn).state == PageState::AllocHead;
 }
 
 std::uint64_t
@@ -188,7 +197,7 @@ BuddyAllocator::addFreeRange(PageRange range)
     K2_ASSERT(range.first >= base_ && range.end() <= base_ + npages_);
     std::uint64_t work = workModel_.base;
     for (Pfn p = range.first; p < range.end(); ++p) {
-        if (meta(p).state != PageState::NotOwned)
+        if (page(p).state != PageState::NotOwned)
             K2_PANIC("allocator '%s': addFreeRange over owned pfn %llu",
                      name_.c_str(), static_cast<unsigned long long>(p));
     }
@@ -227,7 +236,7 @@ BuddyAllocator::freeBlockHead(Pfn pfn) const
     // try successively larger alignments.
     for (unsigned order = 0; order <= kMaxOrder; ++order) {
         const Pfn cand = base_ + (rel(pfn) & ~((1ull << order) - 1));
-        const PageMeta &m = meta(cand);
+        const PageMeta &m = page(cand);
         if (m.state == PageState::FreeHead && m.order >= order &&
             rel(pfn) < rel(cand) + (1ull << m.order)) {
             return cand;
@@ -258,16 +267,16 @@ BuddyAllocator::movablePagesIn(PageRange range) const
 {
     std::uint64_t count = 0;
     for (Pfn p = range.first; p < range.end(); ++p) {
-        const PageMeta &m = meta(p);
+        const PageMeta &m = page(p);
         if (m.state == PageState::AllocHead ||
             m.state == PageState::AllocBody) {
             // Mobility is stored on the head; bodies inherit it. Find
             // the head by walking back (bodies follow heads within
             // kMaxOrder alignment).
             Pfn head = p;
-            while (meta(head).state == PageState::AllocBody)
+            while (page(head).state == PageState::AllocBody)
                 --head;
-            if (meta(head).migrate == Migrate::Movable)
+            if (page(head).migrate == Migrate::Movable)
                 ++count;
         }
     }
@@ -287,7 +296,7 @@ BuddyAllocator::reclaimRange(PageRange range)
     std::uint64_t movable = 0;
     std::uint64_t free_inside = 0;
     for (Pfn p = range.first; p < range.end();) {
-        const PageMeta &m = meta(p);
+        const PageMeta &m = page(p);
         switch (m.state) {
           case PageState::NotOwned:
             K2_PANIC("allocator '%s': reclaim of unowned pfn %llu",
@@ -315,7 +324,7 @@ BuddyAllocator::reclaimRange(PageRange range)
           case PageState::FreeBody: {
             // Only possible when a free block straddles range.first.
             const Pfn head = freeBlockHead(p);
-            const Pfn block_end = head + (1ull << meta(head).order);
+            const Pfn block_end = head + (1ull << page(head).order);
             free_inside += std::min(block_end, range.end()) - p;
             p = block_end;
             break;
@@ -334,10 +343,11 @@ BuddyAllocator::reclaimRange(PageRange range)
     // NotOwned. Clients address pages through their own mappings,
     // which Linux page migration updates; we model the cost only.
     for (Pfn p = range.first; p < range.end();) {
-        PageMeta &m = meta(p);
+        const PageMeta &m = page(p);
         if (m.state == PageState::AllocHead) {
             const std::uint64_t n = 1ull << m.order;
             // Mark old pages as leaving the allocator.
+            touch(rel(p), n);
             for (std::uint64_t i = 0; i < n; ++i)
                 meta_[rel(p) + i].state = PageState::NotOwned;
             allocatedPages_ -= n;
@@ -348,7 +358,7 @@ BuddyAllocator::reclaimRange(PageRange range)
             p += 1ull << m.order;
         } else if (m.state == PageState::FreeBody) {
             const Pfn head = freeBlockHead(p);
-            p = head + (1ull << meta(head).order);
+            p = head + (1ull << page(head).order);
         } else {
             ++p;
         }
@@ -362,20 +372,21 @@ BuddyAllocator::reclaimRange(PageRange range)
     // model is unchanged from carving page by page -- only the host
     // time is.
     for (Pfn p = range.first; p < range.end();) {
-        const PageState s = meta(p).state;
+        const PageState s = page(p).state;
         if (s != PageState::FreeHead && s != PageState::FreeBody) {
             ++p;
             continue;
         }
         const Pfn head = (s == PageState::FreeHead) ? p
                                                     : freeBlockHead(p);
-        const unsigned order = meta(head).order;
+        const unsigned order = page(head).order;
         const Pfn block_end = head + (1ull << order);
         const Pfn lo = std::max(head, range.first);
         const Pfn hi = std::min(block_end, range.end());
 
         removeFree(head, order);
         res.work += workModel_.perSplit * carveSplits(head, order, lo, hi);
+        touch(rel(lo), hi - lo);
         for (Pfn q = lo; q < hi; ++q)
             meta_[rel(q)].state = PageState::NotOwned;
         freePages_ -= hi - lo;
@@ -421,8 +432,37 @@ BuddyAllocator::snapState(snap::Io &io)
     static_assert(sizeof(PageMeta) ==
                       sizeof(PageState) + sizeof(std::uint8_t) +
                           sizeof(Migrate),
-                  "PageMeta must be padding-free for podVec");
-    io.podVec(meta_);
+                  "PageMeta must be padding-free for raw bytes");
+    // Same bytes as io.podVec(meta_). A restore of the image this
+    // allocator last synced with copies back only the chunks written
+    // since: every other chunk already equals the image. Syncing with
+    // any other image counts every chunk as written.
+    K2_ASSERT(io.count(meta_.size()) == meta_.size());
+    if (io.capturing()) {
+        io.bytes(meta_.data(), meta_.size() * sizeof(PageMeta));
+    } else {
+        const std::uint8_t *img = io.take(meta_.size() * sizeof(PageMeta));
+        if (synced_ != io.image())
+            std::fill(touched_.begin(), touched_.end(), 1);
+        synced_ = 0; // Until the copy below completes.
+        auto *dst = reinterpret_cast<std::uint8_t *>(meta_.data());
+        const std::uint8_t *const flags = touched_.data();
+        const std::uint8_t *const end = flags + touched_.size();
+        // memchr skips runs of untouched chunks many at a time.
+        for (const std::uint8_t *c = flags;
+             (c = static_cast<const std::uint8_t *>(std::memchr(
+                  c, 1, static_cast<std::size_t>(end - c))));
+             ++c) {
+            const std::uint64_t first =
+                static_cast<std::uint64_t>(c - flags) * kChunkPages;
+            const std::size_t off = first * sizeof(PageMeta);
+            std::memcpy(dst + off, img + off,
+                        std::min(kChunkPages, npages_ - first) *
+                            sizeof(PageMeta));
+        }
+    }
+    std::fill(touched_.begin(), touched_.end(), 0);
+    synced_ = io.image();
     for (unsigned order = 0; order <= kMaxOrder; ++order) {
         // The bitmap iterates ascending, so the image is deterministic
         // (absolute head pfns, the same bytes the std::set free lists
@@ -432,7 +472,7 @@ BuddyAllocator::snapState(snap::Io &io)
         if (io.restoring()) {
             list.clear();
             for (std::uint64_t i = 0; i < n; ++i) {
-                Pfn pfn;
+                Pfn pfn = 0;
                 io.pod(pfn);
                 list.insert(rel(pfn) >> order);
             }
@@ -457,7 +497,7 @@ BuddyAllocator::checkInvariants() const
     for (unsigned order = 0; order <= kMaxOrder; ++order) {
         freeLists_[order].forEach([&](std::uint64_t idx) {
             const Pfn head = base_ + (idx << order);
-            const PageMeta &m = meta(head);
+            const PageMeta &m = page(head);
             K2_ASSERT(m.state == PageState::FreeHead);
             K2_ASSERT(m.order == order);
             K2_ASSERT((rel(head) & ((1ull << order) - 1)) == 0);

@@ -137,11 +137,17 @@ class BlockSet
         K2_PANIC("BlockSet::max on empty set");
     }
 
+    /** Empty the set, zeroing only the words the summary marks
+     *  non-empty. */
     void
     clear()
     {
-        std::fill(words_.begin(), words_.end(), 0);
-        std::fill(summary_.begin(), summary_.end(), 0);
+        for (std::uint64_t s = 0; s < summary_.size(); ++s) {
+            for (std::uint64_t sw = summary_[s]; sw != 0; sw &= sw - 1)
+                words_[s * 64 + static_cast<std::uint64_t>(
+                                    std::countr_zero(sw))] = 0;
+            summary_[s] = 0;
+        }
         count_ = 0;
     }
 
@@ -282,7 +288,12 @@ class BuddyAllocator
     /** Internal consistency check (for tests); panics on corruption. */
     void checkInvariants() const;
 
-    /** Capture/restore page metadata, free lists, and counters. */
+    /**
+     * Capture/restore page metadata, free lists, and counters. Restoring
+     * the image this allocator last synced with (captured into or
+     * restored from) copies back only the metadata chunks written since;
+     * any other image rewrites all of it.
+     */
     void snapState(snap::Io &io);
 
   private:
@@ -302,9 +313,27 @@ class BuddyAllocator
         Migrate migrate = Migrate::Movable;
     };
 
+    /** Pages per metadata chunk, the unit of delta restore. */
+    static constexpr std::uint64_t kChunkPages = 64;
+
     std::uint64_t rel(Pfn pfn) const { return pfn - base_; }
+
+    /** Writable metadata of @p pfn; marks its chunk touched. */
     PageMeta &meta(Pfn pfn);
-    const PageMeta &meta(Pfn pfn) const;
+
+    /** Read-only metadata of @p pfn; marks nothing. */
+    const PageMeta &page(Pfn pfn) const;
+
+    /** Mark the chunks covering meta_[rel, rel + n) as written; n >= 1.
+     *  Every write to meta_ goes through here (via meta() for single
+     *  pages), which is what makes delta restore exact. */
+    void
+    touch(std::uint64_t rel, std::uint64_t n)
+    {
+        const std::uint64_t last = (rel + n - 1) / kChunkPages;
+        for (std::uint64_t c = rel / kChunkPages; c <= last; ++c)
+            touched_[c] = 1;
+    }
 
     void insertFree(Pfn pfn, unsigned order);
 
@@ -347,6 +376,13 @@ class BuddyAllocator
     Pfn base_;
     std::uint64_t npages_;
     std::vector<PageMeta> meta_;
+    /** One flag byte per kChunkPages-page chunk of meta_: written
+     *  since the allocator last synced with image synced_ (0: none).
+     *  Bytes, not bits: a plain store keeps touch() off the hot paths'
+     *  dependency chains, where a bit OR would read-modify-write one
+     *  word over and over. */
+    std::vector<std::uint8_t> touched_;
+    std::uint64_t synced_ = 0;
     /** Free block heads per order, keyed by rel(pfn) >> order. */
     std::array<BlockSet, kMaxOrder + 1> freeLists_;
     std::uint64_t freePages_ = 0;

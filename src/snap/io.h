@@ -20,6 +20,15 @@
  * process image), so they may be restored into the captured instance
  * any number of times, from any host thread. They are not a durable
  * on-disk format.
+ *
+ * Delta restore. Every Io carries the process-unique id of the image
+ * it writes or reads (image()). A component holding bulk state (the
+ * buddy allocator's page metadata, a disk's blocks) remembers the id
+ * it last synced with -- captured into or restored from -- and tracks
+ * what it wrote since. Restoring that same image then rewrites only
+ * the written parts, reading them out of the image's region through
+ * take(); restoring any other image rewrites everything. Either way
+ * the image bytes, and the restored state, are the same.
  */
 
 #ifndef K2_SNAP_IO_H
@@ -61,14 +70,15 @@ class Io
         Restore, //!< Write the byte image back into the component.
     };
 
-    /** Capture constructor: appends to @p out. */
-    explicit Io(std::vector<std::uint8_t> &out)
-        : mode_(Mode::Capture), out_(&out)
+    /** Capture constructor: appends image @p image's bytes to @p out. */
+    Io(std::vector<std::uint8_t> &out, std::uint64_t image)
+        : mode_(Mode::Capture), image_(image), out_(&out)
     {}
 
-    /** Restore constructor: reads from @p in. */
-    explicit Io(const std::vector<std::uint8_t> &in)
-        : mode_(Mode::Restore), rd_(in.data()), end_(in.data() + in.size())
+    /** Restore constructor: reads image @p image's bytes from @p in. */
+    Io(const std::vector<std::uint8_t> &in, std::uint64_t image)
+        : mode_(Mode::Restore), image_(image), rd_(in.data()),
+          end_(in.data() + in.size())
     {}
 
     Io(const Io &) = delete;
@@ -78,6 +88,10 @@ class Io
     bool capturing() const { return mode_ == Mode::Capture; }
     bool restoring() const { return mode_ == Mode::Restore; }
 
+    /** Process-unique id of the image being written or read (never 0,
+     *  so 0 can stand for "synced with no image"). */
+    std::uint64_t image() const { return image_; }
+
     /** Raw bytes, fixed length both ways. */
     void
     bytes(void *p, std::size_t n)
@@ -86,9 +100,7 @@ class Io
             const auto *b = static_cast<const std::uint8_t *>(p);
             out_->insert(out_->end(), b, b + n);
         } else {
-            need(n);
-            std::memcpy(p, rd_, n);
-            rd_ += n;
+            std::memcpy(p, take(n), n);
         }
     }
 
@@ -168,6 +180,21 @@ class Io
         return stored;
     }
 
+    /**
+     * Restore only: lend the next @p n image bytes and step past them,
+     * so a component can read its own region out of order (or only the
+     * parts it needs). The pointer lives as long as the image.
+     */
+    const std::uint8_t *
+    take(std::size_t n)
+    {
+        K2_ASSERT(restoring());
+        need(n);
+        const std::uint8_t *p = rd_;
+        rd_ += n;
+        return p;
+    }
+
     template <typename T>
     void
     podVec(std::vector<T> &v)
@@ -214,6 +241,7 @@ class Io
     }
 
     Mode mode_;
+    std::uint64_t image_;
     std::vector<std::uint8_t> *out_ = nullptr;
     const std::uint8_t *rd_ = nullptr;
     const std::uint8_t *end_ = nullptr;

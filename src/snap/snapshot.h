@@ -13,6 +13,12 @@
  * permutation, RNG streams, energy accumulators, tracer cursors,
  * service state, disk blocks) is rewritten exactly.
  *
+ * Each image carries a process-unique id. A component with bulk state
+ * rewrites only what it changed since it last synced with the image
+ * being restored (see snap/io.h), so a fork costs what the cell
+ * touched, not what the fixture holds. The id is bookkeeping, not
+ * content: it is not part of the bytes and operator== ignores it.
+ *
  * Preconditions (asserted by the component snapState methods):
  *  - The engine is quiescent: Engine::run() returned, the event heap
  *    is empty and no live records remain. All scheduler core loops are
@@ -30,6 +36,7 @@
 #ifndef K2_SNAP_SNAPSHOT_H
 #define K2_SNAP_SNAPSHOT_H
 
+#include <atomic>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -50,7 +57,8 @@ class Snapshot
     of(T &target)
     {
         Snapshot s;
-        Io io(s.bytes_);
+        s.id_ = nextId();
+        Io io(s.bytes_, s.id_);
         target.snapState(io);
         return s;
     }
@@ -61,7 +69,7 @@ class Snapshot
     restore(T &target) const
     {
         K2_ASSERT(!bytes_.empty());
-        Io io(bytes_);
+        Io io(bytes_, id_);
         target.snapState(io);
         io.finish();
     }
@@ -71,11 +79,26 @@ class Snapshot
     /** Image size in bytes (compactness metric). */
     std::size_t sizeBytes() const { return bytes_.size(); }
 
-    /** Byte-level image comparison (round-trip tests). */
-    bool operator==(const Snapshot &other) const = default;
+    /** Byte-level image comparison (round-trip tests); ids differ
+     *  between captures of identical state. */
+    bool
+    operator==(const Snapshot &other) const
+    {
+        return bytes_ == other.bytes_;
+    }
 
   private:
+    /** One counter for the whole process (not per of<T>), from any
+     *  host thread. */
+    static std::uint64_t
+    nextId()
+    {
+        static std::atomic<std::uint64_t> last{0};
+        return last.fetch_add(1) + 1;
+    }
+
     std::vector<std::uint8_t> bytes_;
+    std::uint64_t id_ = 0; //!< 0 for an empty snapshot.
 };
 
 } // namespace snap

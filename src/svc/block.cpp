@@ -8,11 +8,119 @@
 namespace k2 {
 namespace svc {
 
+BlockStore::BlockStore(std::size_t block_bytes, std::uint64_t num_blocks)
+    : ZeroedStore(block_bytes * num_blocks), blockBytes_(block_bytes),
+      numBlocks_(num_blocks), flags_(num_blocks, 0)
+{}
+
+void
+BlockStore::read(std::uint64_t b, std::span<std::uint8_t> out) const
+{
+    K2_ASSERT(b < numBlocks_);
+    K2_ASSERT(out.size() == blockBytes_);
+    std::memcpy(out.data(), &(*this)[b * blockBytes_], blockBytes_);
+}
+
+void
+BlockStore::write(std::uint64_t b, std::span<const std::uint8_t> in)
+{
+    K2_ASSERT(b < numBlocks_);
+    K2_ASSERT(in.size() == blockBytes_);
+    std::memcpy(at(b), in.data(), blockBytes_);
+    if (!(flags_[b] & kDirty)) {
+        flags_[b] |= kDirty;
+        ++dirtyCount_;
+    }
+    markWritten(b);
+}
+
+void
+BlockStore::markWritten(std::uint64_t b)
+{
+    if (flags_[b] & kWritten)
+        return;
+    flags_[b] |= kWritten;
+    written_.push_back(b);
+}
+
+void
+BlockStore::snapState(snap::Io &io)
+{
+    const std::size_t stride = sizeof(std::uint64_t) + blockBytes_;
+    if (io.capturing()) {
+        io.count(dirtyCount_);
+        // The flag scan yields ascending indices: deterministic bytes
+        // for identical disk contents, and sorted records for restore.
+        for (std::uint64_t b = 0; b < numBlocks_; ++b) {
+            if (!(flags_[b] & kDirty))
+                continue;
+            io.pod(b);
+            io.bytes(at(b), blockBytes_);
+        }
+    } else {
+        const std::uint64_t n = io.count(0);
+        const std::uint8_t *recs = io.take(n * stride);
+        const bool full = synced_ != io.image();
+        synced_ = 0; // Until the loop below completes.
+        if (full) {
+            clearWritten();
+            for (std::uint64_t b = 0; b < numBlocks_; ++b) {
+                if (flags_[b] & kDirty)
+                    markWritten(b);
+            }
+        }
+        // Outside the written-since list the store already matches
+        // the image (the sync invariant). The records are sorted by
+        // index, so each listed block is one binary search away.
+        const auto indexAt = [&](std::uint64_t i) {
+            std::uint64_t idx;
+            std::memcpy(&idx, recs + i * stride, sizeof idx);
+            return idx;
+        };
+        std::uint64_t found = 0;
+        for (const std::uint64_t b : written_) {
+            std::uint64_t lo = 0;
+            std::uint64_t hi = n;
+            while (lo < hi) {
+                const std::uint64_t mid = lo + (hi - lo) / 2;
+                if (indexAt(mid) < b)
+                    lo = mid + 1;
+                else
+                    hi = mid;
+            }
+            if (lo < n && indexAt(lo) == b) {
+                std::memcpy(at(b), recs + lo * stride + sizeof(b),
+                            blockBytes_);
+                ++found;
+            } else {
+                std::memset(at(b), 0, blockBytes_);
+                flags_[b] &= ~kDirty;
+                --dirtyCount_;
+            }
+        }
+        // Write-only dirtying means a target that extends the image
+        // has every image block dirty; a full sync checks that.
+        if (full && found != n)
+            K2_FATAL("snapshot restore: disk image holds %llu blocks "
+                     "not dirty in the target",
+                     static_cast<unsigned long long>(n - found));
+        K2_ASSERT(dirtyCount_ == n);
+    }
+    clearWritten();
+    synced_ = io.image();
+}
+
+void
+BlockStore::clearWritten()
+{
+    for (const std::uint64_t b : written_)
+        flags_[b] &= ~kWritten;
+    written_.clear();
+}
+
 RamDisk::RamDisk(std::size_t block_bytes, std::uint64_t num_blocks,
                  std::uint64_t request_instr)
-    : blockBytes_(block_bytes), numBlocks_(num_blocks),
-      requestInstr_(request_instr), data_(block_bytes * num_blocks),
-      dirty_(num_blocks, false)
+    : requestInstr_(request_instr), data_(block_bytes, num_blocks)
 {}
 
 sim::Duration
@@ -21,18 +129,16 @@ RamDisk::copyTime(const kern::Thread &t) const
     const double bw =
         const_cast<kern::Thread &>(t).core().spec().memBytesPerSec;
     return static_cast<sim::Duration>(
-        static_cast<double>(blockBytes_) / bw * 1e12);
+        static_cast<double>(blockBytes()) / bw * 1e12);
 }
 
 sim::Task<void>
 RamDisk::read(kern::Thread &t, std::uint64_t block,
               std::span<std::uint8_t> out)
 {
-    K2_ASSERT(block < numBlocks_);
-    K2_ASSERT(out.size() == blockBytes_);
     co_await t.exec(requestInstr_);
     co_await t.execTime(copyTime(t));
-    std::memcpy(out.data(), &data_[block * blockBytes_], blockBytes_);
+    data_.read(block, out);
     reads.inc();
 }
 
@@ -40,66 +146,20 @@ sim::Task<void>
 RamDisk::write(kern::Thread &t, std::uint64_t block,
                std::span<const std::uint8_t> in)
 {
-    K2_ASSERT(block < numBlocks_);
-    K2_ASSERT(in.size() == blockBytes_);
     co_await t.exec(requestInstr_);
     co_await t.execTime(copyTime(t));
-    std::memcpy(&data_[block * blockBytes_], in.data(), blockBytes_);
-    if (!dirty_[block]) {
-        dirty_[block] = true;
-        ++dirtyCount_;
-    }
+    data_.write(block, in);
     writes.inc();
 }
 
 void
 RamDisk::snapState(snap::Io &io)
 {
-    io.check(blockBytes_, "RamDisk::blockBytes");
-    io.check(numBlocks_, "RamDisk::numBlocks");
+    io.check(blockBytes(), "RamDisk::blockBytes");
+    io.check(numBlocks(), "RamDisk::numBlocks");
     io.pod(reads);
     io.pod(writes);
-
-    if (io.capturing()) {
-        io.count(dirtyCount_);
-        // The bitmap scan yields ascending indices: deterministic
-        // bytes for identical disk contents.
-        for (std::uint64_t b = 0; b < numBlocks_; ++b) {
-            if (!dirty_[b])
-                continue;
-            io.pod(b);
-            io.bytes(&data_[b * blockBytes_], blockBytes_);
-        }
-    } else {
-        const std::uint64_t n = io.count(0);
-        // Write-only dirtying means the instance's dirty set is a
-        // superset of the image's. Walk both ascending sets in step:
-        // re-zero blocks dirtied only after the capture, reload the
-        // captured ones.
-        std::uint64_t imageBlock = numBlocks_; // sentinel: none left
-        std::uint64_t taken = 0;
-        if (taken < n)
-            io.pod(imageBlock);
-        for (std::uint64_t b = 0; b < numBlocks_; ++b) {
-            if (!dirty_[b])
-                continue;
-            if (taken < n && b == imageBlock) {
-                io.bytes(&data_[b * blockBytes_], blockBytes_);
-                ++taken;
-                imageBlock = numBlocks_;
-                if (taken < n)
-                    io.pod(imageBlock);
-            } else {
-                std::memset(&data_[b * blockBytes_], 0, blockBytes_);
-                dirty_[b] = false;
-            }
-        }
-        if (taken != n)
-            K2_FATAL("RamDisk image holds %llu blocks not dirty in the "
-                     "target",
-                     static_cast<unsigned long long>(n - taken));
-        dirtyCount_ = n;
-    }
+    data_.snapState(io);
 }
 
 } // namespace svc

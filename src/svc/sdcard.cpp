@@ -15,23 +15,20 @@ SdCard::SdCard(std::size_t block_bytes, std::uint64_t num_blocks)
 
 SdCard::SdCard(std::size_t block_bytes, std::uint64_t num_blocks,
                Timing timing)
-    : blockBytes_(block_bytes), numBlocks_(num_blocks), timing_(timing),
-      data_(block_bytes * num_blocks), dirty_(num_blocks)
+    : timing_(timing), data_(block_bytes, num_blocks)
 {}
 
 sim::Task<void>
 SdCard::read(kern::Thread &t, std::uint64_t block,
              std::span<std::uint8_t> out)
 {
-    K2_ASSERT(block < numBlocks_);
-    K2_ASSERT(out.size() == blockBytes_);
     // Issue the command (CPU), then block while the card transfers.
     co_await t.exec(200);
     const auto xfer = static_cast<sim::Duration>(
-        static_cast<double>(blockBytes_) / timing_.readBytesPerSec *
+        static_cast<double>(blockBytes()) / timing_.readBytesPerSec *
         1e12);
     co_await t.sleep(timing_.commandLatency + xfer);
-    std::memcpy(out.data(), &data_[block * blockBytes_], blockBytes_);
+    data_.read(block, out);
     reads.inc();
 }
 
@@ -39,12 +36,10 @@ sim::Task<void>
 SdCard::write(kern::Thread &t, std::uint64_t block,
               std::span<const std::uint8_t> in)
 {
-    K2_ASSERT(block < numBlocks_);
-    K2_ASSERT(in.size() == blockBytes_);
     co_await t.exec(200);
     sim::Duration xfer = timing_.commandLatency +
                          static_cast<sim::Duration>(
-                             static_cast<double>(blockBytes_) /
+                             static_cast<double>(blockBytes()) /
                              timing_.writeBytesPerSec * 1e12);
     if (++writesSinceGc_ >= timing_.gcEvery) {
         writesSinceGc_ = 0;
@@ -52,58 +47,20 @@ SdCard::write(kern::Thread &t, std::uint64_t block,
         xfer += timing_.gcPause;
     }
     co_await t.sleep(xfer);
-    std::memcpy(&data_[block * blockBytes_], in.data(), blockBytes_);
-    if (!dirty_[block]) {
-        dirty_[block] = true;
-        ++dirtyCount_;
-    }
+    data_.write(block, in);
     writes.inc();
 }
 
 void
 SdCard::snapState(snap::Io &io)
 {
-    io.check(blockBytes_, "SdCard::blockBytes");
-    io.check(numBlocks_, "SdCard::numBlocks");
+    io.check(blockBytes(), "SdCard::blockBytes");
+    io.check(numBlocks(), "SdCard::numBlocks");
     io.pod(reads);
     io.pod(writes);
     io.pod(gcPauses);
     io.pod(writesSinceGc_);
-
-    if (io.capturing()) {
-        io.count(dirtyCount_);
-        for (std::uint64_t b = 0; b < numBlocks_; ++b) {
-            if (!dirty_[b])
-                continue;
-            io.pod(b);
-            io.bytes(&data_[b * blockBytes_], blockBytes_);
-        }
-    } else {
-        const std::uint64_t n = io.count(0);
-        std::uint64_t imageBlock = numBlocks_; // sentinel: none left
-        std::uint64_t taken = 0;
-        if (taken < n)
-            io.pod(imageBlock);
-        for (std::uint64_t b = 0; b < numBlocks_; ++b) {
-            if (!dirty_[b])
-                continue;
-            if (taken < n && b == imageBlock) {
-                io.bytes(&data_[b * blockBytes_], blockBytes_);
-                ++taken;
-                imageBlock = numBlocks_;
-                if (taken < n)
-                    io.pod(imageBlock);
-            } else {
-                std::memset(&data_[b * blockBytes_], 0, blockBytes_);
-                dirty_[b] = false;
-            }
-        }
-        if (taken != n)
-            K2_FATAL("snapshot restore: SD image has %llu blocks the "
-                     "card never dirtied",
-                     static_cast<unsigned long long>(n - taken));
-        dirtyCount_ = n;
-    }
+    data_.snapState(io);
 }
 
 CachedBlockDevice::CachedBlockDevice(BlockDevice &backing,

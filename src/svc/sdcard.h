@@ -48,8 +48,8 @@ class SdCard : public BlockDevice
     SdCard(std::size_t block_bytes, std::uint64_t num_blocks,
            Timing timing);
 
-    std::size_t blockBytes() const override { return blockBytes_; }
-    std::uint64_t numBlocks() const override { return numBlocks_; }
+    std::size_t blockBytes() const override { return data_.blockBytes(); }
+    std::uint64_t numBlocks() const override { return data_.numBlocks(); }
 
     sim::Task<void> read(kern::Thread &t, std::uint64_t block,
                          std::span<std::uint8_t> out) override;
@@ -62,16 +62,16 @@ class SdCard : public BlockDevice
     sim::Counter gcPauses;
     /** @} */
 
-    /** Capture/restore: dirty blocks only, as for RamDisk. */
+    /** Blocks written at least once (the copy-on-write working set). */
+    std::uint64_t dirtyBlocks() const { return data_.dirtyBlocks(); }
+
+    /** Capture/restore: the statistics and GC phase, then the
+     *  ever-written blocks, as for RamDisk. */
     void snapState(snap::Io &io);
 
   private:
-    std::size_t blockBytes_;
-    std::uint64_t numBlocks_;
     Timing timing_;
-    ZeroedStore data_;
-    std::vector<bool> dirty_;       //!< Per-block: written since boot.
-    std::uint64_t dirtyCount_ = 0;
+    BlockStore data_;
     std::uint32_t writesSinceGc_ = 0;
 };
 

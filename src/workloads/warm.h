@@ -15,7 +15,10 @@
  * state -- clock, RNG streams, allocator free lists, tracer cursors,
  * service state, disk blocks), so per-cell artifacts are unchanged
  * between `--sweep=warm` and `--sweep=cold` at any `--jobs=N`.
- * tests/snap_test.cpp and scripts/check.sh enforce this.
+ * tests/snap_test.cpp and the warm/cold x jobs goldens
+ * (tests/CMakeLists.txt) enforce this. Each fork restores the image
+ * the master last synced with, so it rewrites only what the previous
+ * cell wrote (DESIGN.md §10).
  *
  * The pool is thread_local: SweepRunner worker threads never share a
  * fixture, cells on one thread run serially, and masters are destroyed

@@ -12,12 +12,22 @@
  *    the next;
  *  - fault interaction: a snapshot taken with the fault plane armed
  *    rewinds the injector's RNG streams, so forks replay the same
- *    fault sequence a cold boot sees.
+ *    fault sequence a cold boot sees;
+ *  - the sync rule: restoring the image an instance last synced with
+ *    rewrites only what it wrote since (buddy metadata chunks, disk
+ *    blocks), restoring any other image rewrites everything, and both
+ *    land on the image byte for byte.
  */
+
+#include <functional>
+#include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "kern/buddy.h"
 #include "snap/snapshot.h"
+#include "svc/sdcard.h"
 #include "workloads/benchmarks.h"
 #include "workloads/episode.h"
 #include "workloads/testbed.h"
@@ -201,6 +211,173 @@ TEST(SnapshotTest, WarmFixtureMatchesColdFixture)
     const wl::EpisodeResult warm2 = runCell(wl::SweepMode::Warm);
     expectSameResult(cold, warm1);
     expectSameResult(cold, warm2);
+}
+
+/**
+ * Every buddy write path, one per delta restore: capture (which syncs
+ * the allocator with the image), write, restore. The restore copies
+ * back only the chunks the writer marked, so a writer that forgot to
+ * mark one leaves a re-capture that differs from the image.
+ */
+TEST(SnapshotTest, BuddyDeltaRestoreCoversEveryWritePath)
+{
+    using kern::Migrate;
+    using kern::PageRange;
+    constexpr std::uint64_t kBlock = 1ull << kern::BuddyAllocator::kMaxOrder;
+    kern::BuddyAllocator buddy("snap", 0, 16 * kBlock);
+    buddy.addFreeRange(PageRange{0, 12 * kBlock});
+    // Live state for the writers to disturb, at both ends of memory.
+    // Orders above 6 span several 64-page chunks, so a loop that
+    // rewrites a block's interior pages must mark them itself.
+    std::vector<kern::Pfn> held;
+    for (unsigned order : {0u, 3u, 8u}) {
+        for (Migrate kind : {Migrate::Movable, Migrate::Unmovable}) {
+            auto r = buddy.alloc(order, kind);
+            ASSERT_TRUE(r);
+            held.push_back(r->range.first);
+        }
+    }
+
+    using Writer = std::function<void(kern::BuddyAllocator &)>;
+    const std::vector<Writer> writers = {
+        [](kern::BuddyAllocator &b) {
+            ASSERT_TRUE(b.alloc(9, Migrate::Movable));
+            ASSERT_TRUE(b.alloc(7, Migrate::Unmovable));
+        },
+        // Frees of blocks that predate the capture; they coalesce
+        // with their free buddies.
+        [&held](kern::BuddyAllocator &b) {
+            b.free(held[5]); // order 8, unmovable
+            b.free(held[0]); // order 0, movable
+        },
+        [](kern::BuddyAllocator &b) {
+            b.addFreeRange(PageRange{12 * kBlock, 4 * kBlock});
+        },
+        // Reclaim the block holding the movable allocations: migration
+        // plus carving the free blocks around them.
+        [](kern::BuddyAllocator &b) {
+            const auto res =
+                b.reclaimRange(PageRange{11 * kBlock, kBlock});
+            ASSERT_TRUE(res.ok);
+            ASSERT_GT(res.migrated, 256u);
+        },
+        // Reclaim a range starting inside a free block.
+        [](kern::BuddyAllocator &b) {
+            ASSERT_TRUE(
+                b.reclaimRange(PageRange{kBlock + 100, 300}).ok);
+        },
+    };
+
+    const snap::Snapshot start = snap::Snapshot::of(buddy);
+    for (const Writer &write : writers) {
+        const snap::Snapshot image = snap::Snapshot::of(buddy);
+        write(buddy);
+        ASSERT_NE(image, snap::Snapshot::of(buddy));
+        // The probe capture above re-synced the allocator, so undo the
+        // write twice: a full restore of the image, then (after the
+        // same write again) a delta one.
+        image.restore(buddy);
+        EXPECT_EQ(image, snap::Snapshot::of(buddy));
+        const snap::Snapshot again = snap::Snapshot::of(buddy);
+        write(buddy);
+        again.restore(buddy);
+        buddy.checkInvariants();
+        EXPECT_EQ(image, snap::Snapshot::of(buddy));
+        // Keep the write for the next writer's starting state.
+        write(buddy);
+    }
+
+    // All writers at once, then back to the start (a full restore:
+    // the allocator last synced with the last writer's image).
+    start.restore(buddy);
+    buddy.checkInvariants();
+    EXPECT_EQ(start, snap::Snapshot::of(buddy));
+}
+
+/** An SD-card fixture like fig6b_sd_variant's: ext2 over a cached
+ *  SD card on a K2 system. */
+struct SdBed
+{
+    std::unique_ptr<os::SystemImage> sys;
+    std::unique_ptr<svc::SdCard> sd;
+    std::unique_ptr<svc::CachedBlockDevice> cache;
+    std::unique_ptr<svc::Ext2Fs> fs;
+    kern::Process *proc = nullptr;
+
+    SdBed()
+        : sys(std::make_unique<os::K2System>()),
+          sd(std::make_unique<svc::SdCard>(svc::Ext2Fs::kBlockBytes,
+                                           4096)),
+          cache(std::make_unique<svc::CachedBlockDevice>(*sd, 64)),
+          fs(std::make_unique<svc::Ext2Fs>(*sys, *cache))
+    {
+        proc = &sys->createProcess("p");
+        sys->spawnNormal(*proc, "mkfs",
+                         [this](kern::Thread &t) -> sim::Task<void> {
+                             co_await fs->mkfs(t);
+                         });
+        sys->engine().run();
+    }
+
+    svc::SdCard &disk() { return *sd; }
+
+    void
+    snapState(snap::Io &io)
+    {
+        sys->snapState(io);
+        sd->snapState(io);
+        cache->snapState(io);
+        fs->snapState(io);
+    }
+};
+
+wl::EpisodeResult
+ext2Episode(SdBed &bed)
+{
+    return wl::runEpisodeWarm(*bed.sys, *bed.proc, "ext2",
+                              wl::ext2Sync(*bed.fs, 64 * 1024, 4));
+}
+
+/**
+ * Capture A, run an ext2 episode, capture B, then restore A, B, A, A
+ * with an ext2 episode before each. Every re-capture must equal its
+ * image; it also re-syncs the instance with itself (same bytes, new
+ * id), so the chain mixes full restores (switching images) with delta
+ * ones (A after A).
+ */
+template <typename Bed>
+void
+expectAbaaRestores(Bed &bed)
+{
+    snap::Snapshot a = snap::Snapshot::of(bed);
+    const std::uint64_t aDirty = bed.disk().dirtyBlocks();
+    (void)ext2Episode(bed);
+    snap::Snapshot b = snap::Snapshot::of(bed);
+    ASSERT_GT(bed.disk().dirtyBlocks(), aDirty);
+
+    for (snap::Snapshot *image : {&a, &b, &a, &a}) {
+        (void)ext2Episode(bed);
+        image->restore(bed);
+        if (image == &a) {
+            EXPECT_EQ(aDirty, bed.disk().dirtyBlocks());
+        }
+        snap::Snapshot again = snap::Snapshot::of(bed);
+        EXPECT_EQ(*image, again);
+        *image = std::move(again);
+    }
+}
+
+TEST(SnapshotTest, DiskRestoresFollowTheSyncRule)
+{
+    auto tb = wl::Testbed::makeK2();
+    tb.engine().run();
+    expectAbaaRestores(tb);
+}
+
+TEST(SnapshotTest, SdCardRestoresFollowTheSyncRule)
+{
+    SdBed bed;
+    expectAbaaRestores(bed);
 }
 
 } // namespace
