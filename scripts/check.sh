@@ -184,37 +184,16 @@ assert v("vote_no_quorum") == 0, "a vote round failed quorum"
 assert v("live") == 3, "crashed replica not live again at exit"
 assert v("leader") != 0, "leadership never moved off the crashed replica"
 EOF
-# Replicated artifacts must stay byte-identical across shard counts
-# and warm/cold fixture modes, crash and all.
-REP_ARGS=(--episodes=3 --runs=4 --replicas=3
-          --faults="domain.crash:at=5ms:dom=1:len=2ms")
-"$BUILD_DIR"/src/workloads/testbed "${REP_ARGS[@]}" --jobs=4 \
-    > "$OBS_DIR/replica_j4.txt"
-"$BUILD_DIR"/src/workloads/testbed "${REP_ARGS[@]}" --jobs=1 \
-    | diff - "$OBS_DIR/replica_j4.txt"
-"$BUILD_DIR"/src/workloads/testbed "${REP_ARGS[@]}" --jobs=4 \
-    --sweep=cold | diff - "$OBS_DIR/replica_j4.txt"
-echo "replication smoke: election + handoff + rejoin re-sync +" \
-     "artifact determinism OK"
+echo "replication smoke: election + handoff + rejoin re-sync OK"
 
-# Fleet smoke: a small population's report and JSON artifact must be
-# byte-identical serial vs sharded and warm vs cold (the throughput
-# line goes to stderr, so stdout diffs exactly), and the artifact must
-# parse as JSON with the expected sketch series.
+# Fleet smoke: a small population's JSON artifact must parse with the
+# expected sketch series. (Its stdout and JSON at every shard count and
+# fixture mode are fleet_300x6h* goldens.)
 FLEET_DIR="$BUILD_DIR/fleet-smoke"
 mkdir -p "$FLEET_DIR"
-for jobs in 1 4; do
-    "$BUILD_DIR"/src/workloads/fleet --devices=300 --hours=6 \
-        --jobs="$jobs" --report="$FLEET_DIR/warm_$jobs.json" \
-        > "$FLEET_DIR/warm_$jobs.txt" 2>/dev/null
-done
-diff "$FLEET_DIR/warm_1.txt" "$FLEET_DIR/warm_4.txt"
-diff "$FLEET_DIR/warm_1.json" "$FLEET_DIR/warm_4.json"
-"$BUILD_DIR"/src/workloads/fleet --devices=300 --hours=6 --jobs=4 \
-    --sweep=cold --report="$FLEET_DIR/cold_4.json" \
-    > "$FLEET_DIR/cold_4.txt" 2>/dev/null
-diff "$FLEET_DIR/warm_1.txt" "$FLEET_DIR/cold_4.txt"
-diff "$FLEET_DIR/warm_1.json" "$FLEET_DIR/cold_4.json"
+"$BUILD_DIR"/src/workloads/fleet --devices=300 --hours=6 --jobs=1 \
+    --report="$FLEET_DIR/warm_1.json" > "$FLEET_DIR/warm_1.txt" \
+    2>/dev/null
 python3 - "$FLEET_DIR/warm_1.json" <<'EOF'
 import json, sys
 m = json.load(open(sys.argv[1]))
@@ -244,27 +223,17 @@ if cmp -s "$FLEET_DIR/diurnal_13.txt" "$FLEET_DIR/warm_1.txt"; then
     echo "error: --diurnal=0.5 did not change the fleet report" >&2
     exit 1
 fi
-echo "fleet smoke: sharded/warm/cold artifacts identical, 100k-device" \
-     "scale + diurnal determinism OK, JSON OK"
+echo "fleet smoke: 100k-device scale + diurnal determinism OK, JSON OK"
 
-# Coherence protocol smoke: every zoo protocol (DESIGN.md §14) must
-# boot the K2 testbed, run the fig6(b) workload, and emit
-# byte-identical artifacts at any shard count and in warm vs cold
-# fixture mode.
+# Coherence protocol smoke: distinct protocols must actually produce
+# distinct results (guard against the flag silently falling back to
+# the default). fig6(b)'s rounded MB/J columns don't resolve the
+# difference, but the testbed's episode timings and DSM fault
+# breakdown do. (Each zoo protocol, DESIGN.md §14, under the fig6(b)
+# sweep at every shard count and fixture mode is a
+# fig6b_ext2_energy_<proto> golden.)
 DSM_DIR="$BUILD_DIR/dsm-smoke"
 mkdir -p "$DSM_DIR"
-for proto in 2state 3state mesi moesi rac; do
-    "$BUILD_DIR"/bench/fig6b_ext2_energy --dsm="$proto" --jobs=4 \
-        > "$DSM_DIR/${proto}_j4.txt"
-    "$BUILD_DIR"/bench/fig6b_ext2_energy --dsm="$proto" --jobs=1 \
-        | diff - "$DSM_DIR/${proto}_j4.txt"
-    "$BUILD_DIR"/bench/fig6b_ext2_energy --dsm="$proto" --jobs=13 \
-        --sweep=cold | diff - "$DSM_DIR/${proto}_j4.txt"
-done
-# Distinct protocols must actually produce distinct results (guard
-# against the flag silently falling back to the default). fig6(b)'s
-# rounded MB/J columns don't resolve the difference, but the testbed's
-# episode timings and DSM fault breakdown do.
 "$BUILD_DIR"/src/workloads/testbed --episodes=6 --dsm=2state \
     > "$DSM_DIR/testbed_2state.txt"
 "$BUILD_DIR"/src/workloads/testbed --episodes=6 --dsm=3state \
@@ -274,5 +243,4 @@ then
     echo "error: --dsm=3state produced the 2state results" >&2
     exit 1
 fi
-echo "coherence smoke: 5 protocols x jobs x warm/cold artifacts" \
-     "identical, protocols distinct"
+echo "coherence smoke: protocols distinct"

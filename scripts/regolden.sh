@@ -7,9 +7,10 @@
 #
 # The goldens are whatever k2_golden_test registers in
 # tests/CMakeLists.txt: each <NAME>_golden ctest runs a command and
-# diffs its stdout against tests/golden/<NAME>.txt. This script reads
-# those commands back from ctest and reruns them; k2_golden_variant
-# tests share another test's golden and are not rerun here.
+# diffs its output (its stdout, or the file it writes to <NAME>.out)
+# against tests/golden/<NAME>.txt. This script reads those commands
+# back from ctest and reruns them; k2_golden_variant tests share
+# another test's golden and are not rerun here.
 
 set -euo pipefail
 
@@ -32,15 +33,21 @@ import json, subprocess, sys
 tests = json.load(open(sys.argv[1]))["tests"]
 written = set()
 for t in tests:
-    # k2_golden_variant registers: sh -c SCRIPT GOLDEN TARGET ARGS...
+    # k2_golden_variant registers: sh -c SCRIPT GOLDEN OUT TARGET ARGS...
     # The first test of a golden file (its k2_golden_test) writes it;
     # the variants registered after it only diff against it.
-    golden, cmd = t["command"][3], t["command"][4:]
+    golden, out, cmd = t["command"][3], t["command"][4], t["command"][5:]
     if golden in written:
         continue
-    out = subprocess.run(cmd, check=True, stdout=subprocess.PIPE).stdout
+    if any(out in arg for arg in cmd):
+        # The command writes the artifact itself (--metrics=<out>).
+        subprocess.run(cmd, check=True, stdout=subprocess.DEVNULL)
+        data = open(out, "rb").read()
+    else:
+        data = subprocess.run(cmd, check=True,
+                              stdout=subprocess.PIPE).stdout
     with open(golden, "wb") as f:
-        f.write(out)
+        f.write(data)
     written.add(golden)
 print(f"regolden: rewrote {len(written)} golden file(s)")
 EOF
