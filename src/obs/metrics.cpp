@@ -149,7 +149,7 @@ MetricsRegistry::addAccumulator(const std::string &name,
 
 void
 MetricsRegistry::addHistogram(const std::string &name,
-                              const sim::Histogram &h)
+                              const sim::QuantileSketch &h)
 {
     Entry e;
     e.kind = MetricValue::Kind::Histogram;
@@ -188,10 +188,10 @@ MetricsRegistry::snapshot() const
             v.max = e.acc->max();
             break;
           case MetricValue::Kind::Histogram:
-            v.count = e.hist->acc().count();
-            v.sum = e.hist->acc().sum();
-            v.min = e.hist->acc().min();
-            v.max = e.hist->acc().max();
+            v.count = e.hist->count();
+            v.sum = e.hist->sum();
+            v.min = e.hist->min();
+            v.max = e.hist->max();
             v.p50 = e.hist->percentile(0.50);
             v.p99 = e.hist->percentile(0.99);
             break;

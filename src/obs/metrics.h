@@ -1,15 +1,17 @@
 /**
  * @file
  * The metrics registry: one queryable namespace over every counter,
- * accumulator, and histogram in the system.
+ * accumulator, and latency distribution in the system.
  *
  * The paper's evaluation is a set of energy/latency breakdowns sampled
  * off power rails and instrumented code paths; our reproduction keeps
- * the equivalent numbers in sim::Counter/Accumulator/Histogram members
- * scattered across subsystems. A MetricsRegistry gives them one
- * hierarchical namespace ("os.dsm.shadow.faults") that can be
- * snapshotted at any simulated instant, diffed across an episode, and
- * serialised as deterministic JSON.
+ * the equivalent numbers in sim::Counter/Accumulator/QuantileSketch
+ * members scattered across subsystems (a sketch registers as a
+ * "histogram" metric: its accumulator fields plus p50/p99). A
+ * MetricsRegistry gives them one hierarchical namespace
+ * ("os.dsm.shadow.faults") that can be snapshotted at any simulated
+ * instant, diffed across an episode, and serialised as deterministic
+ * JSON.
  *
  * Registration stores a pointer to the live stat (or a gauge callback
  * for derived values such as rail energies); the registered objects
@@ -27,6 +29,7 @@
 #include <ostream>
 #include <string>
 
+#include "sim/sketch.h"
 #include "sim/stats.h"
 
 namespace k2 {
@@ -44,7 +47,7 @@ struct MetricValue
         Counter,     //!< Monotonic count.
         Gauge,       //!< Point-in-time scalar.
         Accumulator, //!< count/sum/min/max of samples.
-        Histogram,   //!< Accumulator plus log2 percentiles.
+        Histogram,   //!< A QuantileSketch: accumulator plus percentiles.
     };
 
     Kind kind = Kind::Counter;
@@ -100,7 +103,8 @@ class MetricsRegistry
     void addCounter(const std::string &name, const sim::Counter &c);
     void addAccumulator(const std::string &name,
                         const sim::Accumulator &a);
-    void addHistogram(const std::string &name, const sim::Histogram &h);
+    void addHistogram(const std::string &name,
+                      const sim::QuantileSketch &h);
     void addGauge(const std::string &name, Gauge fn);
     /** @} */
 
@@ -125,7 +129,7 @@ class MetricsRegistry
         MetricValue::Kind kind;
         const sim::Counter *counter = nullptr;
         const sim::Accumulator *acc = nullptr;
-        const sim::Histogram *hist = nullptr;
+        const sim::QuantileSketch *hist = nullptr;
         Gauge gauge;
     };
 

@@ -42,6 +42,7 @@
 #include "kern/kernel.h"
 #include "os/messages.h"
 #include "os/retry.h"
+#include "sim/sketch.h"
 #include "sim/stats.h"
 
 namespace k2 {
@@ -175,7 +176,7 @@ class ReliableMail
     sim::Counter acks_;
     sim::Counter dupDropped_;
     sim::Counter giveups_;
-    sim::Histogram ackRttUs_;
+    sim::QuantileSketch ackRttUs_;
 };
 
 } // namespace os

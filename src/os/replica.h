@@ -53,6 +53,7 @@
 #include "os/irq_router.h"
 #include "os/messages.h"
 #include "os/dsm.h"
+#include "sim/sketch.h"
 #include "sim/stats.h"
 
 namespace k2 {
@@ -216,8 +217,8 @@ class ReplicaGroup
     sim::Counter quorumLosses_;
     sim::Counter degradedSpawns_;
     sim::Counter strayMail_;
-    sim::Histogram electionUs_;
-    sim::Histogram resyncUs_;
+    sim::QuantileSketch electionUs_;
+    sim::QuantileSketch resyncUs_;
 };
 
 } // namespace os

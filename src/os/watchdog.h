@@ -46,6 +46,7 @@
 #include "os/dsm.h"
 #include "os/irq_router.h"
 #include "os/messages.h"
+#include "sim/sketch.h"
 #include "sim/stats.h"
 
 namespace k2 {
@@ -151,8 +152,8 @@ class Watchdog
     sim::Counter pagesReclaimed_;
     sim::Counter servicesReplayed_;
     sim::Counter degradedSpawns_;
-    sim::Histogram detectUs_;
-    sim::Histogram downUs_;
+    sim::QuantileSketch detectUs_;
+    sim::QuantileSketch downUs_;
 };
 
 } // namespace os

@@ -5,19 +5,16 @@
  * Components expose Counter and Accumulator members; benches and tests
  * read them directly, and the observability layer (obs::MetricsRegistry)
  * registers them under hierarchical names. Accumulator tracks
- * count/sum/min/max and mean; Histogram additionally keeps log2 buckets
- * for latency distributions.
+ * count/sum/min/max and mean. A distribution (percentiles) is a
+ * sim::QuantileSketch (sim/sketch.h).
  */
 
 #ifndef K2_SIM_STATS_H
 #define K2_SIM_STATS_H
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <cstdint>
 #include <limits>
-#include <string>
 
 namespace k2 {
 namespace sim {
@@ -86,98 +83,6 @@ class Accumulator
     double sum_ = 0.0;
     double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();
-};
-
-namespace detail {
-
-/**
- * Nearest-rank percentile over log2 buckets (shared by Histogram and
- * QuantileSketch).
- *
- * Locates the rank-ceil(p*total) smallest sample (@p p clamped into
- * [0, 1]; rank clamped into [1, total]). Rank 1 is the exact observed
- * minimum; any other rank reports the upper boundary 2^(i+1) of its
- * bucket, clamped into [@p min, @p max]. Returns 0 when @p total is 0.
- */
-double bucketPercentile(const std::uint64_t *buckets,
-                        std::size_t nbuckets, std::uint64_t total,
-                        double min, double max, double p);
-
-} // namespace detail
-
-/**
- * An accumulator with log2-bucketed distribution.
- *
- * Bucket boundaries: bucket i holds samples in [2^i, 2^(i+1)), except
- * that bucket 0 additionally absorbs everything below 2 (zero,
- * sub-unit samples, negatives, NaN) and the last bucket absorbs
- * everything at or above 2^63 -- including values too large to
- * represent in a uint64_t, which must never reach the double->integer
- * cast (that conversion is undefined behaviour out of range).
- */
-class Histogram
-{
-  public:
-    static constexpr std::size_t kBuckets = 64;
-
-    /** The bucket a sample value falls into (see class comment). */
-    static std::size_t
-    bucketIndex(double v)
-    {
-        // Catches v < 2 as well as NaN (every comparison with NaN is
-        // false), so the exponent read below sees a positive value.
-        if (!(v >= 2.0))
-            return 0;
-        // For v >= 2 the unbiased IEEE-754 exponent IS floor(log2 v),
-        // i.e. the log2 bucket; reading it from the bits replaces the
-        // double->integer conversion + bit_width of the truncated
-        // value (bit-identical on the whole domain, including the
-        // >= 2^63 clamp and infinity -- a test checks every power-of-
-        // two boundary) with two integer ops on the sketch hot path.
-        // The sign bit is 0 here (v >= 2), so no masking is needed.
-        const auto bits = std::bit_cast<std::uint64_t>(v);
-        return std::min<std::size_t>((bits >> 52) - 1023,
-                                     kBuckets - 1);
-    }
-
-    /** Inclusive lower boundary of bucket @p i. */
-    static constexpr double
-    bucketLow(std::size_t i)
-    {
-        return i == 0 ? 0.0 : static_cast<double>(1ull << i);
-    }
-
-    void
-    sample(double v)
-    {
-        acc_.sample(v);
-        ++buckets_[bucketIndex(v)];
-    }
-
-    const Accumulator &acc() const { return acc_; }
-    std::uint64_t bucket(std::size_t i) const { return buckets_.at(i); }
-
-    /**
-     * Approximate p-th percentile with nearest-rank semantics: the
-     * value of the rank-ceil(p*count) smallest sample, located by
-     * bucket. Rank 1 (p == 0, or any p small enough) is the exact
-     * observed minimum; otherwise the result is the upper boundary
-     * 2^(i+1) of the bucket holding the ranked sample, clamped into
-     * [min(), max()]. An empty histogram reports 0; @p p is clamped
-     * into [0, 1].
-     */
-    double percentile(double p) const;
-
-    void
-    reset()
-    {
-        acc_.reset();
-        buckets_.fill(0);
-    }
-
-  private:
-    Accumulator acc_;
-    std::array<std::uint64_t, kBuckets> buckets_{};
 };
 
 } // namespace sim

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 
 #include "sim/log.h"
 #include "sim/random.h"
@@ -96,15 +95,6 @@ TEST(Accumulator, Moments)
     EXPECT_DOUBLE_EQ(acc.max(), 3.0);
 }
 
-TEST(Histogram, PercentileMonotonic)
-{
-    Histogram h;
-    for (int i = 1; i <= 1024; ++i)
-        h.sample(static_cast<double>(i));
-    EXPECT_LE(h.percentile(0.5), h.percentile(0.99));
-    EXPECT_GE(h.percentile(0.99), 512.0);
-}
-
 TEST(Accumulator, EmptyMinMaxAreNaN)
 {
     Accumulator acc;
@@ -117,113 +107,6 @@ TEST(Accumulator, EmptyMinMaxAreNaN)
     acc.reset();
     EXPECT_TRUE(std::isnan(acc.min()));
     EXPECT_TRUE(std::isnan(acc.max()));
-}
-
-TEST(Histogram, BucketBoundaries)
-{
-    // Bucket 0 absorbs [0, 2) including zero and sub-unit samples;
-    // bucket i holds [2^i, 2^(i+1)).
-    EXPECT_EQ(Histogram::bucketIndex(0.0), 0u);
-    EXPECT_EQ(Histogram::bucketIndex(0.5), 0u);
-    EXPECT_EQ(Histogram::bucketIndex(1.0), 0u);
-    EXPECT_EQ(Histogram::bucketIndex(1.999), 0u);
-    EXPECT_EQ(Histogram::bucketIndex(2.0), 1u);
-    EXPECT_EQ(Histogram::bucketIndex(3.999), 1u);
-    EXPECT_EQ(Histogram::bucketIndex(4.0), 2u);
-    EXPECT_EQ(Histogram::bucketIndex(1024.0), 10u);
-    EXPECT_EQ(Histogram::bucketIndex(2047.0), 10u);
-    EXPECT_EQ(Histogram::bucketIndex(2048.0), 11u);
-}
-
-TEST(Histogram, HugeValuesDoNotOverflowTheCast)
-{
-    // Values at or above 2^63 would be UB to cast to uint64_t; they
-    // must land in the last bucket instead.
-    EXPECT_EQ(Histogram::bucketIndex(9.3e18), Histogram::kBuckets - 1);
-    EXPECT_EQ(Histogram::bucketIndex(1e300), Histogram::kBuckets - 1);
-    EXPECT_EQ(Histogram::bucketIndex(
-                  std::numeric_limits<double>::infinity()),
-              Histogram::kBuckets - 1);
-    Histogram h;
-    h.sample(1e300);
-    EXPECT_EQ(h.bucket(Histogram::kBuckets - 1), 1u);
-    EXPECT_DOUBLE_EQ(h.percentile(0.99), 1e300);
-}
-
-TEST(Histogram, ZeroAndSubUnitSamples)
-{
-    Histogram h;
-    h.sample(0.0);
-    h.sample(0.5);
-    EXPECT_EQ(h.bucket(0), 2u);
-    // Nearest-rank: the median of two samples is the lower one (rank
-    // ceil(0.5 * 2) = 1), which is tracked exactly as the min.
-    EXPECT_DOUBLE_EQ(h.percentile(0.5), 0.0);
-    EXPECT_DOUBLE_EQ(h.percentile(0.99), 0.5);
-}
-
-TEST(Histogram, NearestRankTwoSampleMedian)
-{
-    // Regression: the median of {1, 2^20} is 1, not 2^20. The old
-    // truncated-target / strictly-greater cumulative scan skipped 1's
-    // bucket entirely and reported the top sample as the median.
-    Histogram h;
-    h.sample(1.0);
-    h.sample(static_cast<double>(1u << 20));
-    EXPECT_DOUBLE_EQ(h.percentile(0.5), 1.0);
-    // p=1 is the max-rank order statistic.
-    EXPECT_DOUBLE_EQ(h.percentile(1.0), static_cast<double>(1u << 20));
-}
-
-TEST(Histogram, NearestRankEdgeCases)
-{
-    Histogram h;
-    h.sample(3.0);
-    h.sample(5.0);
-    h.sample(100.0);
-    // p=0 (and any p whose rank rounds to 1) is the exact minimum.
-    EXPECT_DOUBLE_EQ(h.percentile(0.0), 3.0);
-    EXPECT_DOUBLE_EQ(h.percentile(0.2), 3.0);
-    // rank ceil(0.5*3) = 2 -> 5.0's bucket [4,8); reported as the
-    // bucket's upper edge clamped into the observed range.
-    EXPECT_DOUBLE_EQ(h.percentile(0.5), 8.0);
-    EXPECT_DOUBLE_EQ(h.percentile(0.99), 100.0);
-    // Out-of-range p clamps instead of misbehaving.
-    EXPECT_DOUBLE_EQ(h.percentile(-0.5), 3.0);
-    EXPECT_DOUBLE_EQ(h.percentile(7.0), 100.0);
-}
-
-TEST(Histogram, NearestRankSingleBucket)
-{
-    // All mass in one bucket: every percentile collapses into the
-    // observed [min, max] range, min for rank 1 and the clamped edge
-    // otherwise.
-    Histogram h;
-    for (int i = 0; i < 100; ++i)
-        h.sample(40.0 + static_cast<double>(i % 8)); // bucket [32,64)
-    EXPECT_DOUBLE_EQ(h.percentile(0.0), 40.0);
-    EXPECT_DOUBLE_EQ(h.percentile(0.5), 47.0);  // upper edge 64 clamped
-    EXPECT_DOUBLE_EQ(h.percentile(0.999), 47.0);
-}
-
-TEST(Histogram, ExactPowersOfTwo)
-{
-    Histogram h;
-    for (int i = 1; i <= 16; ++i)
-        h.sample(static_cast<double>(1ull << i));
-    // 2^i sits at the inclusive lower edge of bucket i.
-    for (std::size_t i = 1; i <= 16; ++i)
-        EXPECT_EQ(h.bucket(i), 1u) << "bucket " << i;
-    // Percentiles never exceed the observed maximum.
-    EXPECT_LE(h.percentile(0.99), h.acc().max());
-    EXPECT_LE(h.percentile(0.5), h.percentile(0.99));
-}
-
-TEST(Histogram, EmptyPercentileIsZero)
-{
-    Histogram h;
-    EXPECT_DOUBLE_EQ(h.percentile(0.5), 0.0);
-    EXPECT_DOUBLE_EQ(h.percentile(0.99), 0.0);
 }
 
 TEST(Log, FatalThrows)
