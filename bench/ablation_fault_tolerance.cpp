@@ -229,10 +229,8 @@ runCase(wl::SweepMode sweep, const std::string &key, WorkloadKind wk,
     out.dsmRetries = counterOf(snap, "os.dsm.retries");
     if (const obs::MetricValue *rtt =
             snap.find("os.recovery.mail.ack_rtt_us")) {
-        if (rtt->count) {
-            out.ackP50 = rtt->p50;
-            out.ackP99 = rtt->p99;
-        }
+        out.ackP50 = rtt->p50;
+        out.ackP99 = rtt->p99;
     }
     out.crashes = counterOf(snap, "os.recovery.crashes_detected");
     out.restarts = counterOf(snap, "os.recovery.restarts");

@@ -1,6 +1,5 @@
 #include "obs/sketch_json.h"
 
-#include <cmath>
 #include <sstream>
 
 #include "obs/metrics.h"
@@ -31,8 +30,7 @@ writeSketchJson(std::ostream &os, const NamedSketches &sketches)
             {"p999", 0.999}};
         for (const auto &[key, p] : kTails) {
             os << ", \"" << key << "\": ";
-            jsonNumber(os, sk->count() ? sk->percentile(p)
-                                       : std::nan(""));
+            jsonNumber(os, sk->percentile(p));
         }
         // Sparse buckets: only nonzero entries, lowest index first.
         os << ", \"buckets\": {";
