@@ -8,9 +8,11 @@
 # The goldens are whatever k2_golden_test registers in
 # tests/CMakeLists.txt: each <NAME>_golden ctest runs a command and
 # diffs its output (its stdout, or the file it writes to <NAME>.out)
-# against tests/golden/<NAME>.txt. This script reads those commands
-# back from ctest and reruns them; k2_golden_variant tests share
-# another test's golden and are not rerun here.
+# against tests/golden/<NAME>.txt; a k2_golden_digest test keeps the
+# sha256 of the file its command writes in tests/golden/<NAME>.sha256.
+# This script reads those commands back from ctest and reruns them;
+# k2_golden_variant tests share another test's golden and are not rerun
+# here.
 
 set -euo pipefail
 
@@ -28,12 +30,12 @@ cmake --build "$BUILD_DIR" -j"$(nproc)"
 ctest --test-dir "$BUILD_DIR" -R '_golden$' --show-only=json-v1 \
     > "$BUILD_DIR/golden-tests.json"
 python3 - "$BUILD_DIR/golden-tests.json" <<'EOF'
-import json, subprocess, sys
+import hashlib, json, subprocess, sys
 
 tests = json.load(open(sys.argv[1]))["tests"]
 written = set()
 for t in tests:
-    # k2_golden_variant registers: sh -c SCRIPT GOLDEN OUT TARGET ARGS...
+    # Every golden test registers: sh -c SCRIPT GOLDEN OUT TARGET ARGS...
     # The first test of a golden file (its k2_golden_test) writes it;
     # the variants registered after it only diff against it.
     golden, out, cmd = t["command"][3], t["command"][4], t["command"][5:]
@@ -46,6 +48,8 @@ for t in tests:
     else:
         data = subprocess.run(cmd, check=True,
                               stdout=subprocess.PIPE).stdout
+    if golden.endswith(".sha256"):
+        data = (hashlib.sha256(data).hexdigest() + "\n").encode()
     with open(golden, "wb") as f:
         f.write(data)
     written.add(golden)
