@@ -86,8 +86,7 @@ IrqRouter::install()
     installed_ = true;
     auto &dom = main_.domain();
     for (std::size_t i = 0; i < dom.numCores(); ++i) {
-        dom.core(i).addStateListener(
-            [this](soc::PowerState) { onStrongStateChange(); });
+        dom.core(i).addGateListener([this]() { onStrongStateChange(); });
     }
     applyRouting(dom.allInactive());
 }

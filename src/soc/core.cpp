@@ -85,10 +85,14 @@ Core::setState(PowerState s)
                                       powerStateName(state_));
     residency_[static_cast<int>(state_)] += now - lastStateChange_;
     lastStateChange_ = now;
+    const bool gate_changed =
+        (s == PowerState::Inactive) != (state_ == PowerState::Inactive);
     state_ = s;
     meter_.setClientPower(rail_, client_, powerFor(state_));
-    for (const auto &fn : listeners_)
-        fn(state_);
+    if (gate_changed) {
+        for (const auto &fn : gateListeners_)
+            fn();
+    }
 }
 
 void
@@ -102,7 +106,6 @@ Core::noteThreadActivity()
 void
 Core::armInactiveTimer()
 {
-    engine_.cancel(inactiveTimer_);
     // A zero timeout disables power gating entirely (useful for
     // protocol microbenchmarks).
     if (costs_.inactiveTimeout == 0)
@@ -114,14 +117,43 @@ Core::armInactiveTimer()
     const sim::Time thread_deadline =
         lastThreadActivity_ + costs_.inactiveTimeout;
     const sim::Time irq_deadline = now + costs_.irqRegateTimeout;
-    const sim::Time deadline = std::max(thread_deadline, irq_deadline);
-    const std::uint64_t epoch = ++idleEpoch_;
-    inactiveTimer_ = engine_.at(deadline, [this, epoch]() {
-        if (epoch == idleEpoch_ && busyCount_ == 0 && !waking_ &&
-            state_ == PowerState::Idle) {
-            setState(PowerState::Inactive);
-        }
-    });
+    gateAt_ = std::max(thread_deadline, irq_deadline);
+    gateSeq_ = engine_.reserveSeq();
+    gateArmed_ = true;
+    if (inactiveTimer_.valid()) {
+        // The queued event moves itself on to (gateAt_, gateSeq_) when
+        // it fires; only a deadline earlier than it needs a new event.
+        if (timerQueuedAt_ <= gateAt_)
+            return;
+        engine_.cancel(inactiveTimer_);
+    }
+    queueInactiveTimer();
+}
+
+void
+Core::queueInactiveTimer()
+{
+    const std::uint64_t seq = gateSeq_;
+    timerQueuedAt_ = gateAt_;
+    inactiveTimer_ = engine_.atReserved(
+        gateAt_, seq, [this, seq]() { onInactiveTimer(seq); });
+}
+
+void
+Core::onInactiveTimer(std::uint64_t seq)
+{
+    inactiveTimer_ = sim::EventId();
+    if (!gateArmed_)
+        return;
+    if (seq != gateSeq_) {
+        // Re-armed since this event was queued: move on to the
+        // deadline and order position of the latest arm.
+        queueInactiveTimer();
+        return;
+    }
+    gateArmed_ = false;
+    if (busyCount_ == 0 && !waking_ && state_ == PowerState::Idle)
+        setState(PowerState::Inactive);
 }
 
 void
@@ -129,10 +161,16 @@ Core::beginBusy()
 {
     K2_ASSERT(state_ != PowerState::Inactive);
     if (busyCount_++ == 0) {
-        engine_.cancel(inactiveTimer_);
-        ++idleEpoch_;
+        gateArmed_ = false;
         setState(PowerState::Active);
     }
+}
+
+void
+Core::pinActive()
+{
+    beginBusy();
+    engine_.cancel(inactiveTimer_);
 }
 
 void
@@ -202,10 +240,13 @@ Core::snapState(snap::Io &io)
     io.pod(busyCount_);
     io.pod(waking_);
     wakeDone_.snapState(io);
-    // The (stale at quiescence) timer handle participates in the next
-    // cancel()'s generation comparison, so restore it bit-exactly.
+    // Nothing is queued at quiescence, so the timer handle is invalid;
+    // the armed deadline and its sequence number are restored as is.
     io.pod(inactiveTimer_);
-    io.pod(idleEpoch_);
+    io.pod(timerQueuedAt_);
+    io.pod(gateArmed_);
+    io.pod(gateAt_);
+    io.pod(gateSeq_);
     io.pod(lastThreadActivity_);
     io.pod(lastStateChange_);
     for (auto &r : residency_)

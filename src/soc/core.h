@@ -11,6 +11,16 @@
  *  - Inactive: power-gated; draws ~0. Resuming execution charges the
  *    wake latency and wake energy.
  *
+ * The inactive timer is lazy: a core keeps at most one timer event
+ * queued. Going busy only disarms it; going idle records the new
+ * deadline together with the event sequence number an immediate
+ * re-arm would have taken (sim::Engine::reserveSeq). A queued event
+ * that fires before that (deadline, sequence) re-queues itself there
+ * (sim::Engine::atReserved), so the core gates at exactly the
+ * position in the event order an eagerly cancelled and re-armed timer
+ * would have, ties included, at one queued event per idle stretch
+ * rather than one cancel and one push per busy period.
+ *
  * Execution cost is expressed in *reference instructions*; a core
  * converts them to cycles through its sustained IPC and to time through
  * its operating frequency, which is how the strong/weak performance
@@ -96,17 +106,23 @@ class Core
      *
      * Hold the core in the Active state across an await of unknown
      * duration (modelling a spin-wait, e.g. the DSM requester spinning
-     * for PutExclusive). The core must be awake. @{
+     * for PutExclusive). The core must be awake. Pinning drops any
+     * queued inactive-timer event outright, so a wait that never ends
+     * cannot advance the clock to a stale deadline. @{
      */
-    void pinActive() { beginBusy(); }
+    void pinActive();
     void unpinActive() { endBusy(); }
     /** @} */
 
-    /** Register a callback invoked after every power-state change. */
+    /**
+     * Register a callback invoked after the core enters or leaves the
+     * Inactive state: the only transitions that can change whether its
+     * whole domain is gated.
+     */
     void
-    addStateListener(std::function<void(PowerState)> fn)
+    addGateListener(std::function<void()> fn)
     {
-        listeners_.push_back(std::move(fn));
+        gateListeners_.push_back(std::move(fn));
     }
 
     /**
@@ -128,15 +144,16 @@ class Core
     std::uint64_t instructionsRetired() const { return instrs_.value(); }
     /** @} */
 
-    /** Capture/restore power state, residency, and timer epochs. */
+    /** Capture/restore power state, residency, and timer state. */
     void snapState(snap::Io &io);
 
   private:
     void setState(PowerState s);
     void beginBusy();
     void endBusy();
-    std::vector<std::function<void(PowerState)>> listeners_;
     void armInactiveTimer();
+    void queueInactiveTimer();
+    void onInactiveTimer(std::uint64_t seq);
     double powerFor(PowerState s) const;
 
     sim::Engine &engine_;
@@ -154,8 +171,15 @@ class Core
     std::uint32_t busyCount_ = 0;
     bool waking_ = false;
     sim::Event wakeDone_;
+    std::vector<std::function<void()>> gateListeners_;
+    /** The one queued inactive-timer event (invalid when none is) and
+     *  the time it is queued at. */
     sim::EventId inactiveTimer_;
-    std::uint64_t idleEpoch_ = 0;
+    sim::Time timerQueuedAt_ = 0;
+    /** Gating is armed for (gateAt_, gateSeq_) in the event order. */
+    bool gateArmed_ = false;
+    sim::Time gateAt_ = 0;
+    std::uint64_t gateSeq_ = 0;
     sim::Time lastThreadActivity_ = 0;
 
     // Residency bookkeeping.

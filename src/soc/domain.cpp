@@ -27,7 +27,7 @@ CoherenceDomain::CoherenceDomain(sim::Engine &eng, EnergyMeter &meter,
         rail_, allInactive() ? spec_.uncoreInactiveMw
                              : spec_.uncoreActiveMw);
     for (auto &c : cores_) {
-        c->addStateListener([this, &meter](PowerState) {
+        c->addGateListener([this, &meter]() {
             meter.setClientPower(rail_, uncoreClient_,
                                  allInactive() ? spec_.uncoreInactiveMw
                                                : spec_.uncoreActiveMw);

@@ -65,6 +65,21 @@ TEST(Engine, TiesBreakFifo)
         EXPECT_EQ(order[i], i);
 }
 
+TEST(Engine, ReservedSequenceKeepsItsPlaceInTies)
+{
+    // A reserved number orders the event as if it had been queued at
+    // reservation time: after events queued earlier at the same time,
+    // before those queued later.
+    Engine eng;
+    std::vector<int> order;
+    eng.at(usec(5), [&order]() { order.push_back(1); });
+    const std::uint64_t seq = eng.reserveSeq();
+    eng.at(usec(5), [&order]() { order.push_back(3); });
+    eng.atReserved(usec(5), seq, [&order]() { order.push_back(2); });
+    eng.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
 TEST(Engine, RunUntilHorizonStopsAndAdvancesClock)
 {
     Engine eng;
