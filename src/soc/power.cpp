@@ -35,9 +35,11 @@ EnergyMeter::setClientPower(RailId rail, std::uint32_t client, double mw)
     Rail &r = rails_[rail];
     K2_ASSERT(client < r.clientMw.size());
     settle(r);
+    const double before = r.totalMw;
     r.totalMw += mw - r.clientMw[client];
     r.clientMw[client] = mw;
-    engine_.spanCounter(r.track, "mW", r.totalMw);
+    if (r.totalMw != before)
+        engine_.spanCounter(r.track, "mW", r.totalMw);
 }
 
 void

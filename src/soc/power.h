@@ -41,7 +41,10 @@ class EnergyMeter
     /** Create a client on @p rail; returns the client id. */
     std::uint32_t addClient(RailId rail, double initial_mw);
 
-    /** Report that a client's draw changed to @p mw. */
+    /**
+     * Report that a client's draw changed to @p mw. The rail's power
+     * counter track gets a sample only when the rail total changes.
+     */
     void setClientPower(RailId rail, std::uint32_t client, double mw);
 
     /** Add a one-off energy cost (e.g. a wakeup) to a rail. */
