@@ -463,25 +463,8 @@ Dsm::serviceGet(KernelIdx t, KernelIdx req, std::uint64_t page,
     // Serialise with a local fault in flight, except for a concurrent
     // upgrade race, which we resolve by invalidating the local copy
     // and letting the local fault retry.
-    //
-    // A *crossed* pair of exclusive faults -- both copies Invalid, each
-    // kernel waiting for the other's grant -- can only arise after
-    // crash recovery desynchronises ownership (reclaim forces the dead
-    // side Invalid mid-fault; its stale retransmitted Get later
-    // invalidates the survivor). Waiting here would then deadlock:
-    // this service waits for the local fault to settle, the local
-    // fault waits for a grant the peer's equally-parked service never
-    // sends. The weak side breaks the cycle the same way the upgrade
-    // race does: service immediately and let the local fault retry.
-    Directory::Entry &e = dir_->entry(page);
-    bool crossed = false;
-    for (;;) {
-        crossed = !strong_[t] && f.outstanding && !f.upgrade &&
-                  e[t] == Copy::I;
-        if (crossed || !f.outstanding || f.upgrade)
-            break;
+    while (f.outstanding && !f.upgrade)
         co_await pi.settled->wait();
-    }
 
     soc::Core &core = serviceCore(t);
     if (!core.awake())
@@ -489,6 +472,7 @@ Dsm::serviceGet(KernelIdx t, KernelIdx req, std::uint64_t page,
 
     const sim::Time t_start = soc_.engine().now();
     soc::CoherenceDomain &dom = kernels_[t]->domain();
+    Directory::Entry &e = dir_->entry(page);
     const Copy s = e[t];
     const bool dirty = Directory::dirty(s);
     sim::Duration cost = costsFor(strong_[t]).serviceBase +
@@ -510,7 +494,7 @@ Dsm::serviceGet(KernelIdx t, KernelIdx req, std::uint64_t page,
     if (kind_ != ProtocolKind::TwoState && rw == Access::Read) {
         grant = dir_->downgrade(e, t);
     } else {
-        if (f.outstanding && (f.upgrade || crossed))
+        if (f.outstanding && f.upgrade)
             f.raced = true;
         e[t] = Copy::I;
     }
@@ -777,12 +761,11 @@ Dsm::reclaimFrom(KernelIdx dead, KernelIdx to)
             f.grantArrived = true;
             pi.grant->pulse();
         }
-        // Where faults serialise across kernels, the dead kernel's own
-        // fault must not hold up the survivors' faults on this page
-        // until it revives. (A pair's invalidation survivor never waits
-        // on it, and keeps the resend-after-revive recovery path.)
+        // The dead kernel's own fault is abandoned: it must not hold
+        // up the survivors' faults on this page until it revives, nor
+        // resend a stale request afterwards.
         Fault &fd = pi.faults[dead];
-        if (serialised() && fd.outstanding && !fd.abandoned) {
+        if (fd.outstanding && !fd.abandoned) {
             fd.abandoned = true;
             fd.awaiting = 0;
             pi.settled->pulse();

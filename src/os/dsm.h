@@ -110,10 +110,10 @@ class Dsm
      * holder (RAC: @p to inherits the pages @p dead last wrote), and
      * faults of @p to stranded waiting on @p dead complete locally.
      * Faults of other kernels redirect through the retry path.
-     * Where faults serialise across kernels (RAC, or beyond two
-     * kernels), faults @p dead itself had in flight are abandoned:
-     * they stop holding up other kernels' faults on their pages, and
-     * re-fault from scratch once @p dead's domain is back up.
+     * Faults @p dead itself had in flight are abandoned: they stop
+     * holding up other kernels' faults on their pages, send nothing
+     * more, and re-fault from scratch once @p dead's domain is back
+     * up.
      *
      * @return The pages whose state changed, ascending.
      */

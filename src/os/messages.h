@@ -20,7 +20,7 @@
 namespace k2 {
 namespace os {
 
-/** Index of a kernel in K2's pair: 0 = main, 1 = shadow. */
+/** Index of one of a DSM's N kernels; 0 is the strong main kernel. */
 using KernelIdx = std::size_t;
 
 enum class MsgType : std::uint32_t

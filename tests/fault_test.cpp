@@ -17,6 +17,7 @@
 #include "fault/injector.h"
 #include "fault/plan.h"
 #include "obs/metrics.h"
+#include "os/coherence/protocol.h"
 #include "sim/log.h"
 #include "workloads/sweep.h"
 #include "workloads/testbed.h"
@@ -496,6 +497,8 @@ TEST(Recovery, StrongDomainCrashIsRejected)
 
 TEST(FaultFuzz, DataIntactUnderRandomPlans)
 {
+    for (const os::coherence::ProtocolKind proto :
+         os::coherence::allProtocols())
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
         std::mt19937_64 rng(seed * 0x9E3779B97F4A7C15ull);
         std::uniform_real_distribution<double> rate(1e-3, 3e-2);
@@ -503,6 +506,7 @@ TEST(FaultFuzz, DataIntactUnderRandomPlans)
 
         os::K2Config cfg;
         cfg.soc.costs.inactiveTimeout = 0;
+        cfg.dsmProtocol = proto;
         cfg.faults.seed = seed;
         fault::FaultSpec s;
         s.kind = fault::FaultKind::MailDrop;
@@ -521,8 +525,9 @@ TEST(FaultFuzz, DataIntactUnderRandomPlans)
             crash.at = sim::msec(crash_ms(rng));
             cfg.faults.add(crash);
         }
-        SCOPED_TRACE("seed=" + std::to_string(seed) + " plan=" +
-                     cfg.faults.summary());
+        SCOPED_TRACE(std::string(os::coherence::protocolName(proto)) +
+                     " seed=" + std::to_string(seed) +
+                     " plan=" + cfg.faults.summary());
         auto tb = wl::Testbed::makeK2(cfg);
 
         constexpr int kFiles = 4;

@@ -490,7 +490,9 @@ TEST(NDsmRecovery, ReclaimUnblocksPagesTheDeadKernelWasFaultingOn)
     // Kernel 1 crashes while its write fault on a page owned by
     // another kernel is in flight; once its pages are reclaimed,
     // kernel 0's write to the page must not wait for kernel 1 to
-    // revive.
+    // revive. The reclaim abandons kernel 1's fault at every kernel
+    // count: it resends nothing, and kernel 1 faults afresh once
+    // revived.
     for (const std::size_t n : {2u, 3u})
     for (const Dsm::Protocol proto : coherence::allProtocols()) {
         SCOPED_TRACE(std::string(coherence::protocolName(proto)) + " N=" +
@@ -524,10 +526,12 @@ TEST(NDsmRecovery, ReclaimUnblocksPagesTheDeadKernelWasFaultingOn)
         ASSERT_FALSE(done[1]); // Its request was lost with its domain.
 
         d.dsm->reclaimFrom(1, 0);
+        const std::uint64_t retries = d.dsm->retries();
         write(0);
         d.eng.run(d.eng.now() + sim::msec(5));
         EXPECT_TRUE(done[0]);
         EXPECT_FALSE(done[1]);
+        EXPECT_EQ(d.dsm->retries(), retries);
         for (std::size_t k = 0; k < n; ++k) {
             EXPECT_EQ(d.dsm->isLocallyValid(k, 8, Access::Write),
                       k == 0);
@@ -538,6 +542,7 @@ TEST(NDsmRecovery, ReclaimUnblocksPagesTheDeadKernelWasFaultingOn)
         inj.revive(1);
         d.eng.run(d.eng.now() + sim::msec(20));
         EXPECT_TRUE(done[1]);
+        EXPECT_EQ(d.dsm->faultStats(1).faults.value(), 2u);
         for (std::size_t k = 0; k < n; ++k) {
             EXPECT_EQ(d.dsm->isLocallyValid(k, 8, Access::Write),
                       k == 1);
