@@ -1,6 +1,7 @@
 #include "soc/config.h"
 
 #include "sim/log.h"
+#include "soc/power.h"
 
 namespace k2 {
 namespace soc {
@@ -20,6 +21,11 @@ SocConfig::validate() const
         if (d.core.points.empty())
             K2_FATAL("core '%s' has no operating points",
                      d.core.name.c_str());
+        // A core's power table holds idle, inactive and one active
+        // level per operating point.
+        if (d.core.points.size() + 2 > PowerClient::kMaxLevels)
+            K2_FATAL("core '%s' has more than %zu operating points",
+                     d.core.name.c_str(), PowerClient::kMaxLevels - 2);
         if (d.core.defaultPoint >= d.core.points.size())
             K2_FATAL("core '%s' default operating point out of range",
                      d.core.name.c_str());

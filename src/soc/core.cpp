@@ -29,28 +29,19 @@ Core::Core(sim::Engine &eng, EnergyMeter &meter, RailId rail,
       id_(id), domain_(domain), point_(spec.defaultPoint),
       track_(eng.addTrack(
           sim::strPrintf("soc.domain%u.core%u.power", domain, id))),
-      wakeDone_(eng)
+      power_(eng.now()), wakeDone_(eng)
 {
-    client_ = meter_.addClient(rail_, powerFor(state_));
-    lastStateChange_ = engine_.now();
+    // Level order as in level(): a core boots Idle, in level 0.
+    power_.addLevel(spec_.idleMw);
+    power_.addLevel(spec_.inactiveMw);
+    for (const OperatingPoint &p : spec_.points)
+        power_.addLevel(p.activeMw);
+    power_.setWakeEnergy(spec_.wakeEnergyUj);
+    meter_.attach(rail_, power_);
     // Treat boot as thread activity so a fresh core follows the full
     // inactive timeout.
     lastThreadActivity_ = engine_.now();
     armInactiveTimer();
-}
-
-double
-Core::powerFor(PowerState s) const
-{
-    switch (s) {
-      case PowerState::Active:
-        return spec_.points[point_].activeMw;
-      case PowerState::Idle:
-        return spec_.idleMw;
-      case PowerState::Inactive:
-        return spec_.inactiveMw;
-    }
-    return 0.0;
 }
 
 void
@@ -58,8 +49,10 @@ Core::setOperatingPoint(std::size_t idx)
 {
     if (idx >= spec_.points.size())
         K2_FATAL("core %u: operating point %zu out of range", id_, idx);
+    const bool active_moved = state_ == PowerState::Active && idx != point_;
     point_ = idx;
-    meter_.setClientPower(rail_, client_, powerFor(state_));
+    if (active_moved)
+        enterLevel(PowerState::Active);
 }
 
 sim::Duration
@@ -75,24 +68,31 @@ Core::setState(PowerState s)
 {
     if (s == state_)
         return;
-    const sim::Time now = engine_.now();
-    // Emit the residency interval that just ended as a complete span,
-    // so the exported timeline shows one row of active/idle/inactive
-    // segments per core.
-    if (now > lastStateChange_ && engine_.tracer().spansOn())
-        engine_.tracer().spanComplete(lastStateChange_,
-                                      now - lastStateChange_, track_,
-                                      powerStateName(state_));
-    residency_[static_cast<int>(state_)] += now - lastStateChange_;
-    lastStateChange_ = now;
-    const bool gate_changed =
-        (s == PowerState::Inactive) != (state_ == PowerState::Inactive);
+    const PowerState left = state_;
     state_ = s;
-    meter_.setClientPower(rail_, client_, powerFor(state_));
-    if (gate_changed) {
+    enterLevel(left);
+    if ((s == PowerState::Inactive) != (left == PowerState::Inactive)) {
         for (const auto &fn : gateListeners_)
             fn();
     }
+}
+
+void
+Core::enterLevel(PowerState left)
+{
+    const sim::Time now = engine_.now();
+    const sim::Time since = power_.since();
+    const bool draw_changed = power_.enter(level(), now);
+    if (!engine_.tracer().spansOn())
+        return;
+    // Emit the residency interval that just ended as a complete span,
+    // so the exported timeline shows one row of active/idle/inactive
+    // segments per core, then the rail's new draw.
+    if (now > since)
+        engine_.tracer().spanComplete(since, now - since, track_,
+                                      powerStateName(left));
+    if (draw_changed)
+        meter_.sample(rail_);
 }
 
 void
@@ -193,8 +193,7 @@ Core::ensureAwake()
         }
         waking_ = true;
         wakeDone_.reset();
-        wakeups_.inc();
-        meter_.addPulse(rail_, spec_.wakeEnergyUj);
+        power_.noteWakeup();
         // During the wake transition the core draws active power (the
         // paper's "high penalty in entering/exiting active power
         // state").
@@ -233,7 +232,6 @@ Core::execTime(sim::Duration d)
 void
 Core::snapState(snap::Io &io)
 {
-    io.check(client_, "Core::client");
     io.check(track_, "Core::track");
     io.pod(point_);
     io.pod(state_);
@@ -248,10 +246,7 @@ Core::snapState(snap::Io &io)
     io.pod(gateAt_);
     io.pod(gateSeq_);
     io.pod(lastThreadActivity_);
-    io.pod(lastStateChange_);
-    for (auto &r : residency_)
-        io.pod(r);
-    io.pod(wakeups_);
+    power_.snapState(io);
     io.pod(instrs_);
 }
 
@@ -259,23 +254,10 @@ sim::Duration
 Core::activeTime() const
 {
     const sim::Time now = engine_.now();
-    residency_[static_cast<int>(state_)] += now - lastStateChange_;
-    lastStateChange_ = now;
-    return residency_[static_cast<int>(PowerState::Active)];
-}
-
-sim::Duration
-Core::idleTime() const
-{
-    activeTime(); // settle
-    return residency_[static_cast<int>(PowerState::Idle)];
-}
-
-sim::Duration
-Core::inactiveTime() const
-{
-    activeTime(); // settle
-    return residency_[static_cast<int>(PowerState::Inactive)];
+    sim::Duration d = 0;
+    for (std::uint32_t p = 0; p < spec_.points.size(); ++p)
+        d += power_.residency(kActiveLevel + p, now);
+    return d;
 }
 
 } // namespace soc

@@ -136,30 +136,63 @@ class Core
     PowerState state() const { return state_; }
     bool isInactive() const { return state_ == PowerState::Inactive; }
 
-    /** @name Residency statistics. @{ */
+    /** @name Residency statistics, read from the power table. @{ */
     sim::Duration activeTime() const;
-    sim::Duration idleTime() const;
-    sim::Duration inactiveTime() const;
-    std::uint64_t wakeups() const { return wakeups_.value(); }
+    sim::Duration
+    idleTime() const
+    {
+        return power_.residency(kIdleLevel, engine_.now());
+    }
+    sim::Duration
+    inactiveTime() const
+    {
+        return power_.residency(kInactiveLevel, engine_.now());
+    }
+    std::uint64_t wakeups() const { return power_.wakeups(); }
     std::uint64_t instructionsRetired() const { return instrs_.value(); }
     /** @} */
 
-    /** Capture/restore power state, residency, and timer state. */
+    /**
+     * The core's power table on its domain's rail: idle, inactive, then
+     * active at each operating point.
+     */
+    const PowerClient &power() const { return power_; }
+
+    /** Capture/restore power state, power table, and timer state. */
     void snapState(snap::Io &io);
 
   private:
+    /** Power-table levels; active at point p is kActiveLevel + p. */
+    static constexpr std::uint32_t kIdleLevel = 0;
+    static constexpr std::uint32_t kInactiveLevel = 1;
+    static constexpr std::uint32_t kActiveLevel = 2;
+
+    /** The power-table level of the current state and point. */
+    std::uint32_t
+    level() const
+    {
+        switch (state_) {
+          case PowerState::Active:
+            return kActiveLevel + static_cast<std::uint32_t>(point_);
+          case PowerState::Idle:
+            return kIdleLevel;
+          case PowerState::Inactive:
+            break;
+        }
+        return kInactiveLevel;
+    }
+
     void setState(PowerState s);
+    void enterLevel(PowerState left);
     void beginBusy();
     void endBusy();
     void armInactiveTimer();
     void queueInactiveTimer();
     void onInactiveTimer(std::uint64_t seq);
-    double powerFor(PowerState s) const;
 
     sim::Engine &engine_;
     EnergyMeter &meter_;
     RailId rail_;
-    std::uint32_t client_;
     CoreSpec spec_;
     const PlatformCosts &costs_;
     CoreId id_;
@@ -168,6 +201,7 @@ class Core
     std::size_t point_;
     sim::TrackId track_; //!< Structured-span track for power states.
     PowerState state_ = PowerState::Idle;
+    PowerClient power_;
     std::uint32_t busyCount_ = 0;
     bool waking_ = false;
     sim::Event wakeDone_;
@@ -181,11 +215,6 @@ class Core
     sim::Time gateAt_ = 0;
     std::uint64_t gateSeq_ = 0;
     sim::Time lastThreadActivity_ = 0;
-
-    // Residency bookkeeping.
-    mutable sim::Time lastStateChange_ = 0;
-    mutable sim::Duration residency_[3] = {0, 0, 0};
-    sim::Counter wakeups_;
     sim::Counter instrs_;
 };
 

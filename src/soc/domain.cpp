@@ -8,7 +8,7 @@ CoherenceDomain::CoherenceDomain(sim::Engine &eng, EnergyMeter &meter,
                                  const PlatformCosts &costs, DomainId id,
                                  std::size_t num_irq_lines,
                                  CoreId first_core_id)
-    : engine_(eng), spec_(spec), id_(id)
+    : engine_(eng), spec_(spec), id_(id), uncore_(eng.now())
 {
     rail_ = meter.addRail(spec.name);
     std::vector<Core *> raw;
@@ -22,15 +22,15 @@ CoherenceDomain::CoherenceDomain(sim::Engine &eng, EnergyMeter &meter,
         eng, std::move(raw), num_irq_lines, spec.irqEntryInstr);
 
     // The uncore (interconnect/L2/SCU) draws power whenever any core
-    // in the domain is not power-gated.
-    uncoreClient_ = meter.addClient(
-        rail_, allInactive() ? spec_.uncoreInactiveMw
-                             : spec_.uncoreActiveMw);
+    // in the domain is not power-gated. Cores boot Idle, so it boots on.
+    const std::uint32_t on = uncore_.addLevel(spec_.uncoreActiveMw);
+    const std::uint32_t off = uncore_.addLevel(spec_.uncoreInactiveMw);
+    meter.attach(rail_, uncore_);
     for (auto &c : cores_) {
-        c->addGateListener([this, &meter]() {
-            meter.setClientPower(rail_, uncoreClient_,
-                                 allInactive() ? spec_.uncoreInactiveMw
-                                               : spec_.uncoreActiveMw);
+        c->addGateListener([this, &meter, on, off]() {
+            if (uncore_.enter(allInactive() ? off : on, engine_.now()) &&
+                engine_.tracer().spansOn())
+                meter.sample(rail_);
         });
     }
 }
@@ -40,6 +40,7 @@ CoherenceDomain::snapState(snap::Io &io)
 {
     for (auto &c : cores_)
         c->snapState(io);
+    uncore_.snapState(io);
     irqCtrl_->snapState(io);
 }
 

@@ -47,6 +47,9 @@ class CoherenceDomain
     /** True if every core in the domain is power-gated. */
     bool allInactive() const;
 
+    /** The uncore's power table: on while any core is not gated, off. */
+    const PowerClient &uncorePower() const { return uncore_; }
+
     /**
      * Time for a core of this domain to flush+invalidate @p bytes of
      * dirty cache to RAM (used by the DSM on PutExclusive).
@@ -61,7 +64,7 @@ class CoherenceDomain
     DomainSpec spec_;
     DomainId id_;
     RailId rail_;
-    std::uint32_t uncoreClient_ = 0;
+    PowerClient uncore_;
     std::vector<std::unique_ptr<Core>> cores_;
     std::unique_ptr<InterruptController> irqCtrl_;
 };

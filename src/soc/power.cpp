@@ -1,74 +1,106 @@
 #include "soc/power.h"
 
+#include <algorithm>
+#include <cmath>
+
 #include "sim/log.h"
 #include "snap/io.h"
 
 namespace k2 {
 namespace soc {
 
+namespace {
+
+/** uW x ps in one uJ. */
+constexpr std::uint64_t kFpPerUj = 1000000000000ull;
+
+/** @p v x @p scale as a whole number; fatal if it is not one. */
+std::uint64_t
+whole(double v, double scale, const char *what)
+{
+    const double x = v * scale;
+    const double r = std::round(x);
+    if (!(x >= 0) || std::abs(x - r) > 1e-9 * std::max(1.0, r))
+        K2_FATAL("%s %g is not a whole multiple of 1/%g", what, v, scale);
+    return static_cast<std::uint64_t>(r);
+}
+
+} // namespace
+
+double
+fpToUj(EnergyFp e)
+{
+    return static_cast<double>(static_cast<std::uint64_t>(e / kFpPerUj)) +
+           static_cast<double>(static_cast<std::uint64_t>(e % kFpPerUj)) /
+               1e12;
+}
+
+std::uint32_t
+PowerClient::addLevel(double mw)
+{
+    K2_ASSERT(numLevels_ < kMaxLevels);
+    uw_[numLevels_] = whole(mw, 1e3, "power level (mW)");
+    return numLevels_++;
+}
+
+void
+PowerClient::setWakeEnergy(double uj)
+{
+    wakeFp_ = whole(uj, 1e6, "wake energy (uJ)") * 1000000ull;
+}
+
+EnergyFp
+PowerClient::energyFp(sim::Time now) const
+{
+    EnergyFp e = static_cast<EnergyFp>(wakeups_) * wakeFp_;
+    for (std::uint32_t l = 0; l < numLevels_; ++l)
+        e += static_cast<EnergyFp>(residency(l, now)) * uw_[l];
+    return e;
+}
+
+void
+PowerClient::snapState(snap::Io &io)
+{
+    io.check(numLevels_, "PowerClient::levels");
+    io.pod(since_);
+    io.pod(level_);
+    for (std::uint32_t l = 0; l < numLevels_; ++l)
+        io.pod(timeIn_[l]);
+    io.pod(wakeups_);
+}
+
 RailId
 EnergyMeter::addRail(std::string name)
 {
     Rail rail;
     rail.name = std::move(name);
-    rail.lastChange = engine_.now();
     rail.track = engine_.addTrack("soc.power." + rail.name);
     rails_.push_back(std::move(rail));
     return static_cast<RailId>(rails_.size() - 1);
 }
 
-std::uint32_t
-EnergyMeter::addClient(RailId rail, double initial_mw)
+void
+EnergyMeter::attach(RailId rail, const PowerClient &client)
 {
     K2_ASSERT(rail < rails_.size());
-    Rail &r = rails_[rail];
-    settle(r);
-    r.clientMw.push_back(initial_mw);
-    r.totalMw += initial_mw;
-    return static_cast<std::uint32_t>(r.clientMw.size() - 1);
+    rails_[rail].clients.push_back(&client);
 }
 
 void
-EnergyMeter::setClientPower(RailId rail, std::uint32_t client, double mw)
+EnergyMeter::sample(RailId rail)
 {
-    K2_ASSERT(rail < rails_.size());
-    Rail &r = rails_[rail];
-    K2_ASSERT(client < r.clientMw.size());
-    settle(r);
-    const double before = r.totalMw;
-    r.totalMw += mw - r.clientMw[client];
-    r.clientMw[client] = mw;
-    if (r.totalMw != before)
-        engine_.spanCounter(r.track, "mW", r.totalMw);
-}
-
-void
-EnergyMeter::addPulse(RailId rail, double uj)
-{
-    K2_ASSERT(rail < rails_.size());
-    Rail &r = rails_[rail];
-    settle(r);
-    r.accumulatedUj += uj;
-}
-
-void
-EnergyMeter::settle(Rail &rail) const
-{
-    const sim::Time now = engine_.now();
-    if (now > rail.lastChange) {
-        // mW * s = mJ; we track uJ, so mW * s * 1000.
-        rail.accumulatedUj +=
-            rail.totalMw * sim::toSec(now - rail.lastChange) * 1000.0;
-    }
-    rail.lastChange = now;
+    engine_.spanCounter(rails_[rail].track, "mW", powerMw(rail));
 }
 
 double
 EnergyMeter::energyUj(RailId rail) const
 {
     K2_ASSERT(rail < rails_.size());
-    settle(rails_[rail]);
-    return rails_[rail].accumulatedUj;
+    const sim::Time now = engine_.now();
+    EnergyFp e = 0;
+    for (const PowerClient *c : rails_[rail].clients)
+        e += c->energyFp(now);
+    return fpToUj(e);
 }
 
 double
@@ -84,7 +116,10 @@ double
 EnergyMeter::powerMw(RailId rail) const
 {
     K2_ASSERT(rail < rails_.size());
-    return rails_[rail].totalMw;
+    std::uint64_t uw = 0;
+    for (const PowerClient *c : rails_[rail].clients)
+        uw += c->levelUw(c->level());
+    return static_cast<double>(uw) / 1e3;
 }
 
 const std::string &
@@ -98,14 +133,9 @@ void
 EnergyMeter::snapState(snap::Io &io)
 {
     io.check(rails_.size(), "EnergyMeter::rails");
-    for (Rail &r : rails_) {
-        io.check(r.clientMw.size(), "EnergyMeter::clients");
+    for (const Rail &r : rails_) {
+        io.check(r.clients.size(), "EnergyMeter::clients");
         io.check(r.track, "EnergyMeter::track");
-        for (double &mw : r.clientMw)
-            io.pod(mw);
-        io.pod(r.totalMw);
-        io.pod(r.accumulatedUj);
-        io.pod(r.lastChange);
     }
 }
 

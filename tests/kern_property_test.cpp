@@ -203,7 +203,7 @@ TEST(EnergyMeterProperty, RailDecompositionSumsToTotal)
     double sum = 0;
     for (soc::RailId r = 0; r < soc.meter().numRails(); ++r)
         sum += soc.meter().energyUj(r);
-    EXPECT_NEAR(sum, soc.meter().totalEnergyUj(), 1e-6);
+    EXPECT_EQ(sum, soc.meter().totalEnergyUj());
     // Both rails actually accumulated energy.
     EXPECT_GT(soc.meter().energyUj(
                   soc.domain(soc::kStrongDomain).rail()),

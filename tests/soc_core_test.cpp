@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.h"
@@ -305,24 +307,74 @@ TEST_F(CoreTest, InvalidOperatingPointIsFatal)
 
 TEST_F(CoreTest, RailCounterSamplesOnlyWhenTotalChanges)
 {
-    // Two clients on one rail, as a core and its domain's uncore: a
-    // report that leaves the rail total where it was adds no sample.
+    // Two clients on one rail, as a core and its domain's uncore: an
+    // enter() that leaves a client's draw where it was, at the same or
+    // at another level, adds no sample.
     eng.tracer().enableSpans();
-    const std::uint32_t a = meter.addClient(rail, 10.0);
-    const std::uint32_t b = meter.addClient(rail, 2.0);
-    meter.setClientPower(rail, a, 4.0);
-    meter.setClientPower(rail, b, 2.0);
-    meter.setClientPower(rail, a, 4.0);
+    PowerClient a(eng.now());
+    PowerClient b(eng.now());
+    a.addLevel(10.0);
+    const std::uint32_t a4 = a.addLevel(4.0);
+    b.addLevel(2.0);
+    const std::uint32_t b1 = b.addLevel(1.0);
+    const std::uint32_t b2 = b.addLevel(2.0);
+    meter.attach(rail, a);
+    meter.attach(rail, b);
+    auto enter = [this](PowerClient &c, std::uint32_t level) {
+        if (c.enter(level, eng.now()) && eng.tracer().spansOn())
+            meter.sample(rail);
+    };
+    enter(a, a4);
+    enter(b, b2);
+    enter(a, a4);
     eng.run(sim::msec(1));
-    meter.setClientPower(rail, b, 1.0);
+    enter(b, b1);
     std::vector<double> samples;
     for (const auto &e : eng.tracer().spanEvents()) {
         if (e.phase == sim::SpanPhase::Counter)
             samples.push_back(e.value);
     }
     EXPECT_EQ(samples, (std::vector<double>{6.0, 5.0}));
-    // The integral still covers the whole interval at 6 mW.
-    EXPECT_DOUBLE_EQ(meter.energyUj(rail), 6.0);
+    // The residency table covers the whole interval at 6 mW.
+    EXPECT_EQ(meter.energyUj(rail), 6.0);
+    EXPECT_EQ(meter.powerMw(rail), 5.0);
+}
+
+TEST_F(CoreTest, TransitionsRecordNoSpanEventsWithSpansOff)
+{
+    Core core(eng, meter, rail, cfg.domains[kStrongDomain].core, costs,
+              0, 0);
+    eng.spawn([](Core &core) -> Task<void> {
+        co_await core.exec(350000);
+    }(core));
+    eng.run(sim::sec(6)); // idle -> active -> idle -> inactive
+    ASSERT_TRUE(core.isInactive());
+    EXPECT_EQ(core.activeTime(), sim::msec(1));
+    EXPECT_TRUE(eng.tracer().spanEvents().empty());
+}
+
+TEST_F(CoreTest, ResidencyReadKeepsPowerSpanWhole)
+{
+    // A residency read in the middle of a state (a metrics snapshot)
+    // must not cut the span the next transition emits for it.
+    eng.tracer().enableSpans();
+    Core core(eng, meter, rail, cfg.domains[kStrongDomain].core, costs,
+              0, 0);
+    eng.spawn([](Core &core) -> Task<void> {
+        co_await core.exec(350000); // 1 ms at 350 MHz
+    }(core));
+    eng.run(sim::usec(400));
+    EXPECT_EQ(core.activeTime(), sim::usec(400));
+    EXPECT_EQ(core.idleTime(), 0u);
+    eng.run(sim::msec(2));
+    std::vector<std::pair<sim::Time, sim::Duration>> active;
+    for (const auto &e : eng.tracer().spanEvents()) {
+        if (e.phase == sim::SpanPhase::Complete &&
+            std::string(e.name) == "active")
+            active.emplace_back(e.ts, e.dur);
+    }
+    EXPECT_EQ(active, (std::vector<std::pair<sim::Time, sim::Duration>>{
+                          {0, sim::msec(1)}}));
 }
 
 TEST_F(CoreTest, SnapshotMeasuresInterval)

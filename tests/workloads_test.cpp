@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "workloads/benchmarks.h"
 #include "workloads/report.h"
 #include "workloads/standby.h"
@@ -90,6 +92,58 @@ TEST(Episode, FinishedEpisodeThreadsAreReaped)
                    works[i % 3]);
     }
     EXPECT_EQ(liveThreads(tb), afterOne);
+}
+
+/** @p mw x @p t in uW x ps, from the config's figure. */
+soc::EnergyFp
+charge(double mw, sim::Duration t)
+{
+    return static_cast<soc::EnergyFp>(std::llround(mw * 1e3)) * t;
+}
+
+TEST(Episode, RailEnergyIsResidencyTimesPowerExactly)
+{
+    // Energy conservation: after dma, ext2 and udp episodes, each rail
+    // holds exactly its cores' and uncore's residency x Table 3 power
+    // plus wakeups x pulse, recomputed from public getters.
+    auto tb = Testbed::makeK2();
+    runEpisode(tb.sys(), tb.proc(), "dma",
+               dmaCopy(tb.dma(), 4096, 16 * 1024));
+    runEpisode(tb.sys(), tb.proc(), "ext2", ext2Sync(tb.fs(), 4096, 2));
+    runEpisode(tb.sys(), tb.proc(), "udp",
+               udpLoopback(tb.udp(), 4096, 8 * 1024));
+    const soc::Soc &chip = tb.sys().soc();
+    const sim::Time now = tb.sys().engine().now();
+    std::uint64_t wakeups = 0;
+    for (soc::DomainId d = 0; d < chip.numDomains(); ++d) {
+        const soc::CoherenceDomain &dom = chip.domain(d);
+        const soc::CoreSpec &spec = dom.spec().core;
+        soc::EnergyFp expect = 0;
+        for (std::size_t c = 0; c < dom.numCores(); ++c) {
+            const soc::Core &core = dom.core(c);
+            ASSERT_EQ(core.operatingPoint(), spec.defaultPoint);
+            EXPECT_EQ(core.activeTime() + core.idleTime() +
+                          core.inactiveTime(),
+                      now);
+            expect += charge(spec.points[spec.defaultPoint].activeMw,
+                             core.activeTime()) +
+                      charge(spec.idleMw, core.idleTime()) +
+                      charge(spec.inactiveMw, core.inactiveTime()) +
+                      static_cast<soc::EnergyFp>(
+                          std::llround(spec.wakeEnergyUj * 1e12)) *
+                          core.wakeups();
+            wakeups += core.wakeups();
+        }
+        const soc::PowerClient &uncore = dom.uncorePower();
+        EXPECT_EQ(uncore.residency(0, now) + uncore.residency(1, now), now);
+        expect += charge(dom.spec().uncoreActiveMw, uncore.residency(0, now)) +
+                  charge(dom.spec().uncoreInactiveMw,
+                         uncore.residency(1, now));
+        EXPECT_EQ(chip.meter().energyUj(dom.rail()), soc::fpToUj(expect))
+            << dom.name();
+    }
+    // The episodes gated and woke cores, so the pulses are covered.
+    EXPECT_GT(wakeups, 0u);
 }
 
 TEST(Workloads, DmaCopyMovesExactlyTotal)
