@@ -134,12 +134,16 @@ K2System::K2System(K2Config cfg)
     irqRouter_ = std::make_unique<IrqRouter>(*soc_, main, shadow);
     irqRouter_->install();
 
+    // The paper's one shadow kernel is a group of one: same recovery
+    // path as any replication degree, with no vote traffic.
+    group_ = std::make_unique<ReplicaGroup>(*soc_, allKernels, *dsm_,
+                                            *irqRouter_,
+                                            cfg_.recovery.replica);
+
     if (armed) {
         watchdog_ = std::make_unique<Watchdog>(
-            *soc_, main,
-            std::vector<kern::Kernel *>(allKernels.begin() + 1,
-                                        allKernels.end()),
-            *dsm_, *irqRouter_, injector_.get(), cfg_.recovery.watchdog);
+            *soc_, main, *group_, *irqRouter_, injector_.get(),
+            cfg_.recovery.watchdog);
         // Repeated retransmission without an ack on any channel is the
         // watchdog's crash-suspicion signal. Shadow->main silence also
         // counts: in the simulation a crashed domain's threads keep
@@ -153,13 +157,6 @@ K2System::K2System(K2Config cfg)
             if (weak != 0)
                 watchdog_->suspect(weak - 1);
         });
-    }
-
-    if (replicas >= 2) {
-        group_ = std::make_unique<ReplicaGroup>(
-            *soc_, allKernels, *dsm_, *irqRouter_,
-            cfg_.recovery.replica);
-        watchdog_->setReplicaGroup(group_.get());
     }
 
     crossIsa_ = std::make_unique<CrossIsaDispatcher>(shadow);
@@ -227,35 +224,26 @@ kern::Thread *
 K2System::spawnNightWatch(kern::Process &proc, std::string name,
                           kern::Thread::Body body)
 {
-    if (group_) {
-        // Replicated shadow services: every request is fanned out to
-        // the live replicas for a majority vote, and served on the
-        // current leader. Only quorum loss degrades to the strong
-        // domain.
-        group_->noteRequest();
-        if (!group_->quorumHeld()) {
-            group_->noteDegradedSpawn();
-            watchdog_->noteDegradedSpawn();
-            return spawnNormal(proc, std::move(name), std::move(body));
-        }
-        const std::size_t leader = group_->servingReplica();
-        if (leader == 0)
-            return nightWatch_->spawn(proc, std::move(name),
-                                      std::move(body));
-        // Extension-domain leader: the NightWatch gating pair protocol
-        // stays between main and the first shadow; the replica serves
-        // the request as a plain thread at weak-domain energy cost.
-        return group_->replicaKernel(leader).spawnThread(
-            &proc, std::move(name), kern::ThreadKind::Normal,
-            std::move(body));
-    }
-    if (watchdog_ && watchdog_->shadowDown()) {
-        // Graceful degradation: with the shadow kernel down, serve the
-        // spawn on the main kernel at main-domain energy cost.
+    // Shadowed services run on the replica group: with N >= 2 every
+    // request is fanned out to the live replicas for a majority vote.
+    // It is served on the current leader; only quorum loss (for a
+    // group of one: its replica is down) degrades to the strong
+    // domain, at main-domain energy cost.
+    group_->noteRequest();
+    if (!group_->quorumHeld()) {
+        group_->noteDegradedSpawn();
         watchdog_->noteDegradedSpawn();
         return spawnNormal(proc, std::move(name), std::move(body));
     }
-    return nightWatch_->spawn(proc, std::move(name), std::move(body));
+    const std::size_t leader = group_->servingReplica();
+    if (leader == 0)
+        return nightWatch_->spawn(proc, std::move(name), std::move(body));
+    // Extension-domain leader: the NightWatch gating pair protocol
+    // stays between main and the first shadow; the replica serves the
+    // request as a plain thread at weak-domain energy cost.
+    return group_->replicaKernel(leader).spawnThread(
+        &proc, std::move(name), kern::ThreadKind::Normal,
+        std::move(body));
 }
 
 sim::Task<kern::PageRange>
@@ -334,7 +322,7 @@ K2System::dumpState(std::ostream &os)
     }
     os << dsm_->messagesSent() << " messages, " << dsm_->pagesDemoted()
        << " pages demoted\n";
-    if (group_) {
+    if (group_->numReplicas() > 1) {
         os << "replicas: " << group_->liveReplicas() << "/"
            << group_->numReplicas() << " live, leader "
            << group_->leaderReplica() << ", term " << group_->term()
@@ -402,7 +390,7 @@ K2System::registerMetrics(obs::MetricsRegistry &reg)
         reliable_->registerMetrics(reg, "os.recovery.mail");
     if (watchdog_)
         watchdog_->registerMetrics(reg, "os.recovery");
-    if (group_)
+    if (group_->numReplicas() > 1)
         group_->registerMetrics(reg, "os.replica");
 }
 
@@ -438,9 +426,7 @@ K2System::snapState(snap::Io &io)
     io.check(watchdog_ ? 1 : 0, "K2System::watchdog");
     if (watchdog_)
         watchdog_->snapState(io);
-    io.check(group_ ? 1 : 0, "K2System::replica");
-    if (group_)
-        group_->snapState(io);
+    group_->snapState(io);
 }
 
 sim::Task<void>
@@ -480,7 +466,6 @@ K2System::dispatchMail(KernelIdx to, soc::Mail mail, soc::Core &core)
           case CtlOp::Election:
           case CtlOp::ElectionOk:
           case CtlOp::Coordinator:
-            K2_ASSERT(group_);
             co_await group_->handleMail(to, mail, core);
             co_return;
         }

@@ -59,13 +59,15 @@ struct K2Config
     std::uint64_t shadowLocalPages = 4096;  //!< 16 MB.
     std::uint64_t mainLocalPages = 12288;   //!< 48 MB.
     /**
-     * Shadow-service replication degree. 1 (the default) is the
-     * paper's two-kernel K2, byte-identical to a build without the
-     * replica layer. N >= 2 boots the shadow kernel on N weak domains
-     * (the weak domain spec is cloned for the extras), arms the
-     * recovery plane, spans the DSM across every kernel, and
-     * routes shadowed requests through the ReplicaGroup: leader
-     * serving, fan-out majority voting, bully re-election on crash.
+     * Shadow-service replication degree. Shadowed requests always
+     * route through the ReplicaGroup. 1 (the default) is the paper's
+     * two-kernel K2: a group of one, with no vote traffic, no extra
+     * track, DSM region or metric key, which loses quorum (degrading
+     * to the strong domain) while its shadow is down. N >= 2 boots the
+     * shadow kernel on N weak domains (the weak domain spec is cloned
+     * for the extras), arms the recovery plane, spans the DSM across
+     * every kernel, and adds leader serving, fan-out majority voting
+     * and bully re-election on crash.
      */
     std::size_t replicas = 1;
     MetaLevelManager::Config meta{};
@@ -133,12 +135,15 @@ class K2System : public SystemImage
     const kern::ServiceRegistry &services() const { return services_; }
     /** @} */
 
+    /** The shadow replicas; never null (one replica is a group of
+     *  one). */
+    ReplicaGroup *replicaGroup() { return group_.get(); }
+
     /** @name Fault plane & recovery (null unless armed). @{ */
     bool recoveryArmed() const { return reliable_ != nullptr; }
     fault::FaultInjector *faultInjector() { return injector_.get(); }
     ReliableMail *reliableMail() { return reliable_.get(); }
     Watchdog *watchdog() { return watchdog_.get(); }
-    ReplicaGroup *replicaGroup() { return group_.get(); }
     /** Configured replication degree (1 = unreplicated). */
     std::size_t replicas() const { return kernels_.size() - 1; }
     /** @} */
@@ -176,8 +181,8 @@ class K2System : public SystemImage
     std::unique_ptr<CrossIsaDispatcher> crossIsa_;
     std::unique_ptr<IoMapper> ioMapper_;
     std::unique_ptr<ReliableMail> reliable_;
-    std::unique_ptr<Watchdog> watchdog_;
     std::unique_ptr<ReplicaGroup> group_;
+    std::unique_ptr<Watchdog> watchdog_;
     kern::ServiceRegistry services_;
     sim::Counter remoteFrees_;
 };

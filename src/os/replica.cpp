@@ -15,15 +15,17 @@ ReplicaGroup::ReplicaGroup(soc::Soc &soc,
     : soc_(soc), kernels_(std::move(kernels)), dsm_(dsm),
       router_(router), cfg_(cfg)
 {
-    K2_ASSERT(kernels_.size() >= 3); // coordinator + at least 2 replicas
+    K2_ASSERT(kernels_.size() >= 2); // coordinator + at least 1 replica
     K2_ASSERT(numReplicas() <= 15);  // leader index fits 4 bits.
     K2_ASSERT(dsm_.numKernels() == kernels_.size());
     alive_.assign(numReplicas(), 1);
     epoch_.assign(numReplicas(), 0);
-    // Only exists with replicas >= 2, so this track never appears in
-    // unreplicated traces.
-    track_ = soc_.engine().addTrack("os.replica");
-    stateRange_ = dsm_.allocRegion(cfg_.statePages);
+    // A group of one has no peer to vote with or re-sync from: no
+    // track (until a quorum span needs one), no state region.
+    if (numReplicas() > 1) {
+        track_ = soc_.engine().addTrack("os.replica");
+        stateRange_ = dsm_.allocRegion(cfg_.statePages);
+    }
 }
 
 std::size_t
@@ -83,7 +85,9 @@ ReplicaGroup::chargeSends(kern::Kernel &kern, std::uint64_t n)
 void
 ReplicaGroup::noteRequest()
 {
-    soc_.engine().spawn(voteRound());
+    // A lone leader's own ballot is the quorum: nothing to fan out.
+    if (numReplicas() > 1)
+        soc_.engine().spawn(voteRound());
 }
 
 sim::Task<void>
@@ -260,7 +264,12 @@ void
 ReplicaGroup::updateQuorum()
 {
     const bool held = quorumHeld();
-    if (!held && !degraded_) {
+    if (held != degraded_)
+        return; // No transition.
+    // addTrack dedups by name; a group of one registers its track here,
+    // so fault-free traces never carry it.
+    track_ = soc_.engine().addTrack("os.replica");
+    if (!held) {
         degraded_ = true;
         quorumLosses_.inc();
         soc_.engine().spanInstant(track_, "quorum_lost");
@@ -269,7 +278,7 @@ ReplicaGroup::updateQuorum()
                  "strong domain",
                  liveReplicas(), numReplicas());
         router_.setDegraded(true);
-    } else if (held && degraded_) {
+    } else {
         degraded_ = false;
         soc_.engine().spanInstant(track_, "quorum_restored");
         K2_TRACE(soc_.engine(), sim::TraceCat::Nw,
@@ -279,7 +288,7 @@ ReplicaGroup::updateQuorum()
     }
 }
 
-sim::Task<void>
+sim::Task<std::uint64_t>
 ReplicaGroup::onReplicaDown(std::size_t r)
 {
     K2_ASSERT(r < numReplicas());
@@ -295,21 +304,19 @@ ReplicaGroup::onReplicaDown(std::size_t r)
     // with no live replica left, the strong coordinator takes them.
     const std::size_t heirKernel =
         (liveReplicas() > 0) ? leader_ + 1 : 0;
-    if (heirKernel != r + 1) {
-        const std::vector<std::uint64_t> moved =
-            dsm_.reclaimFrom(r + 1, heirKernel);
-        co_await chargeSends(*kernels_[heirKernel],
-                             1 + moved.size());
-        K2_TRACE(soc_.engine(), sim::TraceCat::Nw,
-                 "replica %zu's %zu DSM pages reclaimed to kernel '%s'",
-                 r, moved.size(), kernels_[heirKernel]->name().c_str());
-    }
+    const std::vector<std::uint64_t> moved =
+        dsm_.reclaimFrom(r + 1, heirKernel);
+    co_await chargeSends(*kernels_[heirKernel], 1 + moved.size());
+    K2_TRACE(soc_.engine(), sim::TraceCat::Nw,
+             "replica %zu's %zu DSM pages reclaimed to kernel '%s'",
+             r, moved.size(), kernels_[heirKernel]->name().c_str());
 
     // State handoff runs detached: it can outlast the restart window
     // (a page stranded under a dead requester settles only after the
     // revive), and the watchdog must not wait on it.
     if (leaderDied && liveReplicas() > 0)
         soc_.engine().spawn(resyncState(leader_));
+    co_return moved.size();
 }
 
 sim::Task<void>
@@ -322,6 +329,10 @@ ReplicaGroup::onReplicaRestarted(std::size_t r)
     if (!alive_[leader_]) {
         // The revived replica may be the best leader available.
         co_await runElection();
+    } else if (r == leader_) {
+        // The leader itself came back (a group of one, or every
+        // replica died): nobody else can announce it.
+        epoch_[r] = term_;
     } else {
         // Rejoin: the leader re-announces itself to the newcomer,
         // refreshing its epoch so its ballots match again.

@@ -6,9 +6,13 @@
  * The paper's §11 sketches K2 scaling to "more, but not many" domains;
  * this module uses that headroom for robustness instead of capacity.
  * With `replicas = N`, the shadow kernel is brought up on N weak
- * domains. Shadowed-service requests are served on the current *leader*
- * replica, and every request is additionally fanned out to all live
- * replicas over the reliable-mail shim (Control/ReplicaReq); each
+ * domains. Every K2System has a group: the paper's two-kernel K2 is a
+ * group of one, which keeps no track, state region or vote round (its
+ * leader's own ballot is the quorum) and loses quorum -- degrading to
+ * the strong domain -- when its only replica dies. Shadowed-service
+ * requests are served on the current *leader* replica, and with N >= 2
+ * every request is additionally fanned out to all live replicas over
+ * the reliable-mail shim (Control/ReplicaReq); each
  * replica answers with a state digest (Control/ReplicaRep, digest in
  * the operand, vote nonce in the mail's seq field -- ReplicaRep is
  * untracked, so the ARQ stamp never touches it). The strong-domain
@@ -24,7 +28,8 @@
  *    whose challenge set is empty -- wins and broadcasts
  *    Control/Coordinator carrying `leader << 12 | term`);
  *  - the new leader inherits the dead replica's DSM pages
- *    (Dsm::reclaimFrom) and re-syncs the group's shared state region
+ *    (Dsm::reclaimFrom; with no replica left, the strong coordinator
+ *    inherits them) and re-syncs the group's shared state region
  *    through the DSM from the surviving majority (real GetExclusive /
  *    PutExclusive traffic, charged on the leader's core);
  *  - routing degrades to the strong domain *only if quorum is lost*
@@ -33,7 +38,8 @@
  *
  * A restarted replica rejoins when the leader re-announces itself to it
  * (Coordinator), which refreshes the replica's epoch; until then its
- * ballots carry a stale-epoch digest and are counted as mismatches.
+ * ballots carry a stale-epoch digest and are counted as mismatches. A
+ * restarted replica that is itself the leader refreshes its own epoch.
  *
  * Every protocol action is charged simulated time and energy on the
  * acting core, and everything is deterministic: elections settle on a
@@ -83,7 +89,8 @@ class ReplicaGroup
     /**
      * @param soc Platform.
      * @param kernels Strong coordinator kernel first, then one kernel
-     *                per replica (weak domains), in kernel-index order.
+     *                per replica (weak domains), in kernel-index order;
+     *                a single replica is the paper's one shadow kernel.
      * @param dsm The DSM spanning exactly @p kernels.
      * @param router Interrupt router, degraded on quorum loss.
      */
@@ -112,8 +119,9 @@ class ReplicaGroup
     }
 
     /**
-     * Account one shadowed-service request: spawns an asynchronous
-     * fan-out + majority-vote round over the live replicas.
+     * Account one shadowed-service request: with N >= 2 replicas,
+     * spawns an asynchronous fan-out + majority-vote round over the
+     * live replicas; a group of one has nobody to ask.
      */
     void noteRequest();
 
@@ -123,10 +131,13 @@ class ReplicaGroup
     /**
      * Watchdog delegation: replica @p r was declared dead. Runs the
      * election if the leader died, reclaims the dead replica's DSM
-     * pages to the leader, starts the state re-sync, and degrades
-     * routing iff quorum is lost.
+     * pages to the leader (to the coordinator if no replica is left),
+     * starts the state re-sync, and degrades routing iff quorum is
+     * lost.
+     *
+     * @return The number of DSM pages reclaimed.
      */
-    sim::Task<void> onReplicaDown(std::size_t r);
+    sim::Task<std::uint64_t> onReplicaDown(std::size_t r);
 
     /**
      * Watchdog delegation: replica @p r finished its restart. Rejoins

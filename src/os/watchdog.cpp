@@ -11,17 +11,15 @@ namespace k2 {
 namespace os {
 
 Watchdog::Watchdog(soc::Soc &soc, kern::Kernel &main,
-                   std::vector<kern::Kernel *> shadows, Dsm &dsm,
-                   IrqRouter &router, fault::FaultInjector *inj,
-                   Config cfg)
-    : soc_(soc), main_(main), shadows_(std::move(shadows)), dsm_(dsm),
-      router_(router), injector_(inj), cfg_(cfg)
+                   ReplicaGroup &group, IrqRouter &router,
+                   fault::FaultInjector *inj, Config cfg)
+    : soc_(soc), main_(main), group_(group), router_(router),
+      injector_(inj), cfg_(cfg)
 {
     K2_ASSERT(cfg_.missThreshold >= 1);
-    K2_ASSERT(!shadows_.empty());
-    probing_.assign(shadows_.size(), 0);
-    down_.assign(shadows_.size(), 0);
-    ackSeen_.assign(shadows_.size(), 0);
+    probing_.assign(group_.numReplicas(), 0);
+    down_.assign(group_.numReplicas(), 0);
+    ackSeen_.assign(group_.numReplicas(), 0);
     // Only exists when the fault plane is armed, so this track never
     // appears in zero-fault traces.
     track_ = soc_.engine().addTrack("os.recovery");
@@ -30,7 +28,7 @@ Watchdog::Watchdog(soc::Soc &soc, kern::Kernel &main,
 void
 Watchdog::suspect(std::size_t replica)
 {
-    if (replica >= shadows_.size())
+    if (replica >= group_.numReplicas())
         return;
     if (probing_[replica] || down_[replica])
         return;
@@ -38,7 +36,7 @@ Watchdog::suspect(std::size_t replica)
     probing_[replica] = 1;
     K2_TRACE(soc_.engine(), sim::TraceCat::Nw,
              "watchdog suspects kernel '%s'; probing",
-             shadows_[replica]->name().c_str());
+             group_.replicaKernel(replica).name().c_str());
     soc_.engine().spanInstant(track_, "suspect");
     soc_.engine().spawn(probeLoop(replica));
 }
@@ -61,7 +59,7 @@ Watchdog::probeLoop(std::size_t r)
         co_await core.execTime(soc_.costs().busAccess);
         core.unpinActive();
         main_.sendMailRaw(
-            shadows_[r]->domainId(),
+            group_.replicaKernel(r).domainId(),
             encodeMessage(MsgType::Control,
                           encodeCtl(CtlOp::Heartbeat, nonce), 0));
         co_await soc_.engine().sleep(cfg_.period);
@@ -84,7 +82,7 @@ Watchdog::probeLoop(std::size_t r)
 sim::Task<void>
 Watchdog::recover(std::size_t r)
 {
-    kern::Kernel &shadow = *shadows_[r];
+    kern::Kernel &shadow = group_.replicaKernel(r);
     down_[r] = 1;
     crashes_.inc();
     const sim::Time t0 = soc_.engine().now();
@@ -98,29 +96,11 @@ Watchdog::recover(std::size_t r)
              "watchdog declares kernel '%s' dead; recovering",
              shadow.name().c_str());
 
-    if (group_) {
-        // Replicated mode: the group elects a new leader, inherits the
-        // dead replica's DSM pages, and degrades routing only if
-        // quorum was lost.
-        co_await group_->onReplicaDown(r);
-    } else {
-        // 1. Degrade: shared IO interrupts pin to the strong domain
-        //    and new shadowed spawns run on the main kernel until
-        //    restart.
-        router_.setDegraded(true);
-
-        // 2. Re-own the dead kernel's DSM pages, completing stranded
-        //    main-side faults. Charged as main-kernel work
-        //    proportional to the pages whose mappings are rewritten.
-        const std::uint64_t reclaimed = dsm_.reclaimFrom(r + 1, 0).size();
-        pagesReclaimed_.inc(reclaimed);
-        soc::Core &core = main_.domain().core(0);
-        if (!core.awake())
-            co_await core.ensureAwake();
-        core.pinActive();
-        co_await core.execTime(soc_.costs().busAccess * (1 + reclaimed));
-        core.unpinActive();
-    }
+    // 1-2. The group elects a new leader if the dead replica led,
+    //      hands the dead kernel's DSM pages to the leader (to the
+    //      main kernel if no replica is left), and degrades routing
+    //      to the strong domain if quorum was lost.
+    pagesReclaimed_.inc(co_await group_.onReplicaDown(r));
 
     // 3. Restart the shadow kernel: reboot latency, then revive the
     //    domain, reset its interrupt controller and replay the
@@ -134,13 +114,11 @@ Watchdog::recover(std::size_t r)
     servicesReplayed_.inc(replayed);
     restarts_.inc();
 
-    // 4. Resume normal routing. The replayed registrations unmasked
-    //    every line on the shadow controller; re-applying the router's
-    //    masks restores single-owner routing of the shared lines.
-    if (group_)
-        co_await group_->onReplicaRestarted(r);
-    else
-        router_.setDegraded(false);
+    // 4. Rejoin the replica, lifting degraded routing once quorum is
+    //    back. The replayed registrations unmasked every line on the
+    //    shadow controller; re-applying the router's masks restores
+    //    single-owner routing of the shared lines.
+    co_await group_.onReplicaRestarted(r);
     router_.reapplyMasks();
 
     down_[r] = 0;
@@ -159,9 +137,9 @@ Watchdog::handleMail(KernelIdx to, Message msg, soc::Core &core)
     switch (ctlOp(msg.payload)) {
     case CtlOp::Heartbeat: {
         // Shadow side: answer from the ISR.
-        K2_ASSERT(to >= 1 && to <= shadows_.size());
+        K2_ASSERT(to >= 1 && to <= group_.numReplicas());
         co_await core.execTime(soc_.costs().busAccess);
-        shadows_[to - 1]->sendMailRaw(
+        group_.replicaKernel(to - 1).sendMailRaw(
             main_.domainId(),
             encodeMessage(MsgType::Control,
                           encodeCtl(CtlOp::HeartbeatAck, nonce), 0));
@@ -170,14 +148,11 @@ Watchdog::handleMail(KernelIdx to, Message msg, soc::Core &core)
     case CtlOp::HeartbeatAck: {
         K2_ASSERT(to == 0);
         heartbeatAcks_.inc();
+        // Only an ack of an open probe proves its replica alive; a late
+        // or duplicated ack of an earlier probe proves nothing.
         auto it = probeOwner_.find(nonce);
-        if (it != probeOwner_.end()) {
+        if (it != probeOwner_.end())
             ackSeen_[it->second] = 1;
-        } else if (shadows_.size() == 1) {
-            // Single-shadow legacy semantics: any ack (even with a
-            // corrupted nonce) proves the peer alive.
-            ackSeen_[0] = 1;
-        }
         co_return;
     }
     default:
@@ -208,14 +183,14 @@ Watchdog::snapState(snap::Io &io)
 {
     // A probe loop or recovery in flight would hold pending timer
     // events, contradicting engine quiescence.
-    for (std::size_t r = 0; r < shadows_.size(); ++r) {
+    for (std::size_t r = 0; r < group_.numReplicas(); ++r) {
         K2_ASSERT(!probing_[r]);
         K2_ASSERT(!down_[r]);
     }
     K2_ASSERT(probeOwner_.empty());
     io.check(track_, "Watchdog::track");
-    io.check(shadows_.size(), "Watchdog::shadows");
-    for (std::size_t r = 0; r < shadows_.size(); ++r)
+    io.check(group_.numReplicas(), "Watchdog::shadows");
+    for (std::size_t r = 0; r < group_.numReplicas(); ++r)
         io.pod(ackSeen_[r]);
     io.pod(nonce_);
     io.pod(heartbeats_);

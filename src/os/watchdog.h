@@ -11,21 +11,21 @@
  * Control/HeartbeatAck); after missThreshold consecutive silent
  * periods it declares the replica dead and recovers:
  *
- *  1. degrade: pin shared IO interrupts to the strong domain and serve
- *     new "shadowed" spawns on the main kernel (main-domain energy
- *     cost) while the shadow is down. With a ReplicaGroup attached
- *     this step is delegated: the group elects a new leader among the
- *     surviving replicas and degrades only if quorum is lost;
- *  2. re-own: the main kernel takes over the dead kernel's DSM pages
- *     (Dsm::reclaimFrom), completing main-side faults stranded waiting
- *     on grants from it (group mode: the new leader inherits the dead
- *     replica's pages instead);
+ *  1. degrade: the ReplicaGroup elects a new leader among the
+ *     surviving replicas; if quorum is lost (always, for the paper's
+ *     single shadow) it pins shared IO interrupts to the strong domain
+ *     and serves new "shadowed" spawns on the main kernel
+ *     (main-domain energy cost) while the replica is down;
+ *  2. re-own: the group hands the dead kernel's DSM pages
+ *     (Dsm::reclaimFrom) to the leader, or to the main kernel if no
+ *     replica is left, completing faults stranded waiting on grants
+ *     from it;
  *  3. restart: after the configured restart latency, revive the
  *     domain, reset its interrupt controller, and replay the shadow
  *     kernel's recorded IRQ registrations (its device/service setup);
- *  4. resume: lift degraded routing and re-apply interrupt masks
- *     (group mode: rejoin the replica and lift degradation only once
- *     quorum is restored).
+ *  4. resume: the group rejoins the replica and lifts degraded routing
+ *     once quorum is restored; the watchdog re-applies interrupt
+ *     masks.
  *
  * Detection latency (crash onset -> declared) and downtime are sampled
  * into os.recovery.* metrics; every action is charged simulated
@@ -43,7 +43,6 @@
 #include <vector>
 
 #include "kern/kernel.h"
-#include "os/dsm.h"
 #include "os/irq_router.h"
 #include "os/messages.h"
 #include "sim/sketch.h"
@@ -73,18 +72,16 @@ class Watchdog
     };
 
     /**
-     * @param shadows The watched weak-domain kernels, in replica order
-     *                (replica r = kernel index r + 1).
-     * @param dsm The DSM to re-own pages on (main is kernel 0, replica
-     *            r is kernel r + 1); unused when a ReplicaGroup
-     *            handles page inheritance instead.
+     * @param main The strong-domain kernel that runs the probes.
+     * @param group The shadow replicas to watch (replica r = kernel
+     *              index r + 1) and the recovery is delegated to:
+     *              leader election, DSM page inheritance and degraded
+     *              routing on quorum loss.
+     * @param router Interrupt router whose masks are re-applied after
+     *               a restart.
      */
-    Watchdog(soc::Soc &soc, kern::Kernel &main,
-             std::vector<kern::Kernel *> shadows, Dsm &dsm,
+    Watchdog(soc::Soc &soc, kern::Kernel &main, ReplicaGroup &group,
              IrqRouter &router, fault::FaultInjector *inj, Config cfg);
-
-    /** Attach the replica group recovery is delegated to. */
-    void setReplicaGroup(ReplicaGroup *g) { group_ = g; }
 
     /**
      * Raise suspicion that replica @p replica's kernel is dead (the
@@ -93,10 +90,6 @@ class Watchdog
      * is in progress.
      */
     void suspect(std::size_t replica);
-    void suspect() { suspect(0); }
-
-    /** True while the (first) shadow kernel is declared down. */
-    bool shadowDown() const { return down_[0] != 0; }
 
     /** True while replica @p r's kernel is declared down. */
     bool replicaDown(std::size_t r) const { return down_.at(r) != 0; }
@@ -130,11 +123,9 @@ class Watchdog
 
     soc::Soc &soc_;
     kern::Kernel &main_;
-    std::vector<kern::Kernel *> shadows_;
-    Dsm &dsm_;
+    ReplicaGroup &group_;
     IrqRouter &router_;
     fault::FaultInjector *injector_;
-    ReplicaGroup *group_ = nullptr;
     Config cfg_;
     sim::TrackId track_{};
     std::vector<std::uint8_t> probing_;

@@ -447,10 +447,10 @@ TEST(Recovery, WatchdogDetectsCrashAndRestartsShadow)
         tb.proc(), "poll", [&](Thread &t) -> Task<void> {
             const sim::Time limit =
                 t.kernel().engine().now() + sim::msec(200);
-            while (!tb.k2()->watchdog()->shadowDown() &&
+            while (!tb.k2()->watchdog()->replicaDown(0) &&
                    t.kernel().engine().now() < limit)
                 co_await t.sleep(sim::usec(250));
-            if (!tb.k2()->watchdog()->shadowDown())
+            if (!tb.k2()->watchdog()->replicaDown(0))
                 co_return;
             saw_down = true;
             tb.sys().spawnNightWatch(tb.proc(), "degraded",
@@ -465,7 +465,7 @@ TEST(Recovery, WatchdogDetectsCrashAndRestartsShadow)
     ASSERT_NE(wd, nullptr);
     EXPECT_EQ(wd->crashesDetected(), 1u);
     EXPECT_EQ(wd->restarts(), 1u);
-    EXPECT_FALSE(wd->shadowDown());
+    EXPECT_FALSE(wd->replicaDown(0));
     EXPECT_TRUE(saw_down);
     EXPECT_TRUE(degraded_ran);
     EXPECT_EQ(tb.k2()->reliableMail()->giveups(), 0u);
@@ -478,6 +478,73 @@ TEST(Recovery, WatchdogDetectsCrashAndRestartsShadow)
     ASSERT_NE(down, nullptr);
     EXPECT_EQ(down->count, 1u);
     EXPECT_GT(down->sum, 0.0);
+}
+
+/**
+ * A late or duplicated HeartbeatAck whose nonce matches no open probe
+ * proves nothing about the shadow: with the one shadow kernel crashed,
+ * such acks arriving mid-probe must neither raise a false alarm nor
+ * delay the crash declaration.
+ */
+TEST(Recovery, UnownedHeartbeatAckDoesNotMaskCrash)
+{
+    os::K2Config cfg;
+    cfg.soc.costs.inactiveTimeout = 0;
+    fault::FaultSpec crash;
+    crash.kind = fault::FaultKind::DomainCrash;
+    crash.domain = soc::kWeakDomain;
+    crash.at = sim::msec(20);
+    cfg.faults.add(crash);
+    auto tb = wl::Testbed::makeK2(cfg);
+    obs::MetricsRegistry reg;
+    tb.registerMetrics(reg);
+
+    const auto data = pattern(16384, 31);
+    auto &proc2 = tb.sys().createProcess("shadow-writer");
+    tb.k2()->shadowKernel().spawnThread(
+        &proc2, "writer", ThreadKind::Normal,
+        [&](Thread &t) -> Task<void> {
+            co_await writeFile(tb, t, "/stale-ack", data);
+        });
+    tb.sys().spawnNormal(tb.proc(), "reader",
+                         [&](Thread &t) -> Task<void> {
+                             co_await t.sleep(sim::msec(25));
+                             co_await verifyFile(tb, t, "/stale-ack",
+                                                 data);
+                         });
+    // Once the first heartbeat is out, feed the watchdog an ack with a
+    // nonce no probe owns, every 250 us until the crash is declared.
+    int injected = 0;
+    tb.sys().spawnNormal(
+        tb.proc(), "stale-acker", [&](Thread &t) -> Task<void> {
+            os::Watchdog &wd = *tb.k2()->watchdog();
+            const sim::Time limit =
+                t.kernel().engine().now() + sim::msec(200);
+            while (t.kernel().engine().now() < limit &&
+                   !wd.replicaDown(0)) {
+                if (counterOf(reg.snapshot(), "os.recovery.heartbeats") >
+                    0) {
+                    co_await wd.handleMail(
+                        0,
+                        os::decodeMessage(os::encodeMessage(
+                            os::MsgType::Control,
+                            os::encodeCtl(os::CtlOp::HeartbeatAck,
+                                          0xFFFF),
+                            0)),
+                        t.kernel().domain().core(0));
+                    ++injected;
+                }
+                co_await t.sleep(sim::usec(250));
+            }
+        });
+    tb.engine().run();
+
+    os::Watchdog *wd = tb.k2()->watchdog();
+    EXPECT_GE(injected, 1);
+    EXPECT_EQ(wd->falseAlarms(), 0u);
+    EXPECT_EQ(wd->crashesDetected(), 1u);
+    EXPECT_EQ(wd->restarts(), 1u);
+    EXPECT_EQ(tb.k2()->reliableMail()->giveups(), 0u);
 }
 
 TEST(Recovery, StrongDomainCrashIsRejected)

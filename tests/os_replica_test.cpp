@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <random>
 #include <string>
 #include <vector>
@@ -328,6 +329,58 @@ TEST(Replica, LeaderCrashElectsNewLeaderWithoutDegrading)
     EXPECT_EQ(tb.k2()->reliableMail()->giveups(), 0u);
 }
 
+/** The watchdog counts the pages the group's recovery reclaims from a
+ *  crashed replica at every replication degree. */
+TEST(Replica, LeaderCrashCountsReclaimedPages)
+{
+    os::K2Config cfg;
+    cfg.soc.costs.inactiveTimeout = 0;
+    fault::FaultSpec crash;
+    crash.kind = fault::FaultKind::DomainCrash;
+    crash.domain = soc::kWeakDomain; // Replica 0 owns the file pages.
+    crash.at = sim::msec(20);
+    cfg.faults.add(crash);
+    cfg.replicas = 3;
+    auto tb = wl::Testbed::makeK2(cfg);
+    tb.engine().tracer().enableSpans(1 << 16);
+    tb.engine().tracer().enable(sim::traceMask(sim::TraceCat::Nw));
+    obs::MetricsRegistry reg;
+    tb.registerMetrics(reg);
+
+    const auto data = pattern(8192, 17);
+    auto &proc2 = tb.sys().createProcess("shadow-writer");
+    tb.k2()->shadowKernel().spawnThread(
+        &proc2, "writer", ThreadKind::Normal,
+        [&](Thread &t) -> Task<void> {
+            co_await writeFile(tb, t, "/owned", data);
+        });
+    tb.sys().spawnNormal(tb.proc(), "reader",
+                         [&](Thread &t) -> Task<void> {
+                             co_await t.sleep(sim::msec(25));
+                             co_await verifyFile(tb, t, "/owned", data);
+                         });
+    tb.engine().run();
+    ASSERT_EQ(tb.k2()->watchdog()->crashesDetected(), 1u);
+
+    // Dsm::reclaimFrom's result, as the group traced it.
+    const sim::Tracer &tr = tb.engine().tracer();
+    EXPECT_EQ(tr.spansDropped(), 0u);
+    std::size_t reclaimed = 0;
+    int traced = 0;
+    for (const auto &e : tr.spanEvents()) {
+        if (e.detail == sim::Tracer::kNoDetail)
+            continue;
+        const std::string &d = tr.spanDetail(e.detail);
+        if (std::sscanf(d.c_str(), "replica 0's %zu DSM pages reclaimed",
+                        &reclaimed) == 1)
+            ++traced;
+    }
+    ASSERT_EQ(traced, 1);
+    EXPECT_GE(reclaimed, 1u);
+    EXPECT_EQ(counterOf(reg.snapshot(), "os.recovery.pages_reclaimed"),
+              reclaimed);
+}
+
 TEST(Replica, FollowerCrashNeedsNoElection)
 {
     os::K2Config cfg;
@@ -538,10 +591,16 @@ TEST(ReplicaFuzz, CrashAcrossReplicationDegrees)
             EXPECT_EQ(tb.k2()->reliableMail()->giveups(), 0u);
             EXPECT_EQ(tb.k2()->watchdog()->crashesDetected(), 1u);
             os::ReplicaGroup *g = tb.k2()->replicaGroup();
+            ASSERT_NE(g, nullptr);
             if (replicas == 1) {
-                EXPECT_EQ(g, nullptr);
+                // A group of one: nobody to elect, so losing the only
+                // replica loses quorum until it rejoins.
+                EXPECT_EQ(g->numReplicas(), 1u);
+                EXPECT_EQ(g->elections(), 0u);
+                EXPECT_EQ(g->quorumLosses(), 1u);
+                EXPECT_EQ(g->rejoins(), 1u);
+                EXPECT_TRUE(g->quorumHeld());
             } else {
-                ASSERT_NE(g, nullptr);
                 EXPECT_GE(g->elections(), 1u);
                 EXPECT_TRUE(g->quorumHeld());
                 if (replicas == 3) {
