@@ -345,8 +345,11 @@ runReplicaCase(wl::SweepMode sweep, std::size_t n, bool crash,
     const obs::MetricsSnapshot snap = reg.snapshot();
     out.crashes = counterOf(snap, "os.recovery.crashes_detected");
     out.restarts = counterOf(snap, "os.recovery.restarts");
-    out.elections = counterOf(snap, "os.replica.elections");
-    out.quorumLosses = counterOf(snap, "os.replica.quorum_losses");
+    // Read from the group itself: a group of one registers no
+    // os.replica keys, yet it loses quorum when its replica crashes.
+    const os::ReplicaGroup &group = *tb.k2()->replicaGroup();
+    out.elections = group.elections();
+    out.quorumLosses = group.quorumLosses();
     out.electionUs = histMean(snap, "os.replica.election_us");
     const double down_us = histMean(snap, "os.recovery.down_us");
     out.downMs = std::isnan(down_us) ? down_us : down_us / 1e3;

@@ -179,7 +179,8 @@ assert v("election_oks") == 1, "election never completed"
 assert v("rejoins") == 1, "revived replica never rejoined"
 assert v("resyncs") == 1 and v("resync_pages") > 0, "no rejoin re-sync"
 assert v("quorum_losses") == 0, "3-way group lost quorum on one crash"
-assert v("degraded_spawns") == 0, "service degraded despite quorum"
+assert m["os.recovery.degraded_spawns"]["value"] == 0, \
+    "service degraded despite quorum"
 assert v("vote_no_quorum") == 0, "a vote round failed quorum"
 assert v("live") == 3, "crashed replica not live again at exit"
 assert v("leader") != 0, "leadership never moved off the crashed replica"

@@ -5,10 +5,14 @@
 
 Prints the event count of each file, the first event at which they
 diverge (index and both events), and the change in event count per
-(name, ph) pair. With --ignore-repeated-counters, both sides first drop
-every counter sample ("ph": "C") that repeats the previous sample on
-its track: same name, timestamp and value. The exit status is 0 when the
-(filtered) event lists are identical, 1 otherwise.
+(name, ph) pair. When both sides have the same event count, it also
+prints how many same-index events differ only in "args" and how many
+differ in name/ph/ts/tid/dur (or any other field but "args"); a change
+that only rewrites event payloads shows 0 in the second count. With
+--ignore-repeated-counters, both sides first drop every counter sample
+("ph": "C") that repeats the previous sample on its track: same name,
+timestamp and value. The exit status is 0 when the (filtered) event
+lists are identical, 1 otherwise.
 
 A trace golden (tests/golden/*.sha256) stores only a digest; its ctest
 keeps the full trace of the current build as <NAME>.out in the build's
@@ -41,6 +45,22 @@ def drop_repeated_counters(events):
     return kept
 
 
+def split_changes(old, new):
+    """(args-only, other) counts of differing same-index events."""
+    def strip(e):
+        return {k: v for k, v in e.items() if k != "args"}
+
+    args_only = other = 0
+    for a, b in zip(old, new):
+        if a == b:
+            continue
+        if strip(a) == strip(b):
+            args_only += 1
+        else:
+            other += 1
+    return args_only, other
+
+
 def show(e):
     return json.dumps(e, sort_keys=True)
 
@@ -60,6 +80,11 @@ def main():
         old, new = drop_repeated_counters(old), drop_repeated_counters(new)
         print("without repeated counter samples: %d -> %d"
               % (len(old), len(new)))
+
+    if len(old) == len(new):
+        args_only, other = split_changes(old, new)
+        print("events differing only in args: %d" % args_only)
+        print("events differing in name/ph/ts/tid/dur: %d" % other)
 
     first = next((i for i, (a, b) in enumerate(zip(old, new)) if a != b),
                  None)

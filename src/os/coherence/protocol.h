@@ -17,14 +17,14 @@
  *    one DSM engine, os::Dsm, which runs every protocol at any kernel
  *    count.
  *
- * Message encoding: the legacy two/three-state protocols use the full
- * 20-bit payload as a page number and the access kind in the seq field
- * (see os/dsm.cpp). The newer protocols need more than one request
- * and one reply verb, and the low eight seq bits are overwritten by
- * the reliable-mail ARQ stamp on tracked mail -- so they carry a 3-bit
- * opcode in the payload's top bits and the page in the remaining 17
- * (limiting those protocols to 2^17 DSM pages; the default
- * K2Config::dsmPages = 65536 fits comfortably).
+ * Message encoding: every protocol carries a 3-bit opcode in the
+ * payload's top bits and the page in the remaining 17 (packOp below),
+ * and leaves the seq field 0 -- the reliable-mail ARQ stamps its low
+ * eight bits on tracked mail. The opcode names the request (GetS,
+ * GetX, Acq) or the granted copy state (GrantS, GrantE, GrantX), so
+ * the receiver needs nothing beyond the payload. The 17 page bits cap
+ * a DSM at 2^17 pages (kOpMaxPages); the default
+ * K2Config::dsmPages = 65536 fits comfortably.
  */
 
 #ifndef K2_OS_COHERENCE_PROTOCOL_H
@@ -95,7 +95,7 @@ struct FaultStats
 };
 
 /**
- * @name Opcode-bearing payload encoding (MESI/MOESI/RAC). Request
+ * @name Opcode-bearing payload encoding (every protocol). Request
  * verbs ride MsgType::GetExclusive, reply verbs MsgType::PutExclusive,
  * so the mailbox/ARQ plumbing (which tracks exactly those types) needs
  * no changes and invalidation fan-out is automatically retransmitted

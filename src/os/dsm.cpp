@@ -48,21 +48,6 @@ costsFor(bool strong)
 constexpr sim::Duration kBottomHalf = sim::usec(4);
 constexpr sim::Duration kLoadedDefer = sim::usec(30);
 
-/** Legacy wire: the Get carries the access kind in the top seq bit. */
-constexpr std::uint32_t kRwFlag = 0x100;
-
-std::uint32_t
-packSeq(std::uint32_t seq, Access rw)
-{
-    return (seq & 0xFF) | (rw == Access::Write ? kRwFlag : 0);
-}
-
-Access
-unpackRw(std::uint32_t seq)
-{
-    return (seq & kRwFlag) ? Access::Write : Access::Read;
-}
-
 } // namespace
 
 Dsm::Dsm(soc::Soc &soc, std::vector<kern::Kernel *> kernels,
@@ -78,7 +63,7 @@ Dsm::Dsm(soc::Soc &soc, std::vector<kern::Kernel *> kernels,
         mmus_.push_back(std::make_unique<soc::Mmu>(spec));
         tracks_.push_back(soc_.engine().addTrack("os.dsm." + k->name()));
     }
-    if (!legacyWire() && numPages_ > coherence::kOpMaxPages)
+    if (numPages_ > coherence::kOpMaxPages)
         K2_FATAL("%s DSM limited to %llu pages (opcode payload bits), "
                  "got %llu",
                  coherence::protocolName(kind_),
@@ -152,13 +137,6 @@ Dsm::down(KernelIdx k)
 }
 
 bool
-Dsm::legacyWire() const
-{
-    return kind_ == ProtocolKind::TwoState ||
-           kind_ == ProtocolKind::ThreeState;
-}
-
-bool
 Dsm::isLocallyValid(KernelIdx kernel, std::uint64_t page,
                     Access rw) const
 {
@@ -185,37 +163,32 @@ Dsm::access(kern::Kernel &kern, soc::Core &core, std::uint64_t page,
 }
 
 void
-Dsm::sendRequest(KernelIdx from, KernelIdx to, std::uint64_t page,
-                 Access rw)
+Dsm::send(KernelIdx from, KernelIdx to, MsgType type,
+          std::uint32_t payload)
 {
-    std::uint32_t payload;
-    std::uint32_t seq;
-    if (legacyWire()) {
-        payload = page & kPayloadMask;
-        seq = packSeq(seq_++, rw);
-    } else {
-        const ReqOp op = rac_ ? ReqOp::Acq
-            : rw == Access::Write ? ReqOp::GetX
-                                  : ReqOp::GetS;
-        payload = coherence::packOp(op, page);
-        seq = seq_++ & kSeqMask;
-    }
     messages_.inc();
-    kernels_[from]->sendMail(
-        kernels_[to]->domainId(),
-        encodeMessage(MsgType::GetExclusive, payload, seq));
+    kernels_[from]->sendMail(kernels_[to]->domainId(),
+                             encodeMessage(type, payload, 0));
 }
 
 void
-Dsm::askHolders(KernelIdx k, std::uint64_t page, Access rw,
-                bool exclusive)
+Dsm::askHolders(KernelIdx k, std::uint64_t page, bool exclusive)
 {
     Fault &f = info(page).faults[k];
     f.awaiting = dir_->targets(dir_->entry(page), k, exclusive);
+    const std::uint32_t req = coherence::packOp(
+        exclusive ? ReqOp::GetX : ReqOp::GetS, page);
     for (KernelIdx j = 0; j < kernels_.size(); ++j) {
         if ((f.awaiting & Directory::bit(j)) != 0)
-            sendRequest(k, j, page, rw);
+            send(k, j, MsgType::GetExclusive, req);
     }
+}
+
+void
+Dsm::askWriter(KernelIdx k, KernelIdx w, std::uint64_t page)
+{
+    info(page).faults[k].awaiting = Directory::bit(w);
+    send(k, w, MsgType::GetExclusive, coherence::packOp(ReqOp::Acq, page));
 }
 
 soc::Core &
@@ -245,7 +218,7 @@ Dsm::bottomHalf(KernelIdx k)
 
 sim::Task<void>
 Dsm::awaitGrant(PageInfo &pi, KernelIdx k, soc::Core &core,
-                std::uint64_t page, Access rw, bool exclusive)
+                std::uint64_t page, bool exclusive)
 {
     // Spin (synchronously -- the faulting context may be an interrupt
     // handler) until the grant arrives. With a retry policy, re-send
@@ -293,18 +266,15 @@ Dsm::awaitGrant(PageInfo &pi, KernelIdx k, soc::Core &core,
                 const KernelIdx w = rac_->writerOf(page);
                 if (w == k)
                     break;
-                f.awaiting = Directory::bit(w);
-                sendRequest(k, w, page, rw);
+                askWriter(k, w, page);
             } else {
-                if (legacyWire()) {
-                    K2_TRACE(soc_.engine(), sim::TraceCat::Dsm,
-                             "%s retries Get for page %llu",
-                             kernels_[k]->name().c_str(),
-                             static_cast<unsigned long long>(page));
-                }
+                K2_TRACE(soc_.engine(), sim::TraceCat::Dsm,
+                         "%s retries Get for page %llu",
+                         kernels_[k]->name().c_str(),
+                         static_cast<unsigned long long>(page));
                 // Ask the page's current holders, which a reclaim may
                 // have changed since the original request.
-                askHolders(k, page, rw, exclusive);
+                askHolders(k, page, exclusive);
             }
             rto = retry_.next(rto);
         }
@@ -376,20 +346,12 @@ Dsm::accessCopy(KernelIdx k, soc::Core &core, std::uint64_t page,
 
         // ---- Full fault path (Table 5). ----
         stats_[k].faults.inc();
-        if (legacyWire()) {
-            K2_TRACE(soc_.engine(), sim::TraceCat::Dsm,
-                     "%s faults on page %llu (%s)",
-                     kernels_[k]->name().c_str(),
-                     static_cast<unsigned long long>(page),
-                     rw == Access::Write ? "W" : "R");
-        } else {
-            K2_TRACE(soc_.engine(), sim::TraceCat::Dsm,
-                     "%s %s-faults on page %llu (%s)",
-                     kernels_[k]->name().c_str(),
-                     coherence::protocolName(kind_),
-                     static_cast<unsigned long long>(page),
-                     rw == Access::Write ? "W" : "R");
-        }
+        K2_TRACE(soc_.engine(), sim::TraceCat::Dsm,
+                 "%s %s-faults on page %llu (%s)",
+                 kernels_[k]->name().c_str(),
+                 coherence::protocolName(kind_),
+                 static_cast<unsigned long long>(page),
+                 rw == Access::Write ? "W" : "R");
         f.outstanding = true;
         // An upgrade fault holds a valid (read) copy while requesting
         // exclusivity; a concurrent exclusive request invalidates it
@@ -424,8 +386,8 @@ Dsm::accessCopy(KernelIdx k, soc::Core &core, std::uint64_t page,
         // for exclusivity.
         const bool exclusive =
             kind_ == ProtocolKind::TwoState || rw == Access::Write;
-        askHolders(k, page, rw, exclusive);
-        co_await awaitGrant(pi, k, core, page, rw, exclusive);
+        askHolders(k, page, exclusive);
+        co_await awaitGrant(pi, k, core, page, exclusive);
         if (f.abandoned) {
             f = Fault{};
             pi.settled->pulse();
@@ -454,7 +416,7 @@ Dsm::accessCopy(KernelIdx k, soc::Core &core, std::uint64_t page,
 
 sim::Task<void>
 Dsm::serviceGet(KernelIdx t, KernelIdx req, std::uint64_t page,
-                Access rw)
+                bool exclusive)
 {
     PageInfo &pi = info(page);
     Fault &f = pi.faults[t];
@@ -491,7 +453,7 @@ Dsm::serviceGet(KernelIdx t, KernelIdx req, std::uint64_t page,
     co_await core.execTime(cost);
 
     RepOp grant = RepOp::GrantX;
-    if (kind_ != ProtocolKind::TwoState && rw == Access::Read) {
+    if (!exclusive) {
         grant = dir_->downgrade(e, t);
     } else {
         if (f.outstanding && f.upgrade)
@@ -501,32 +463,15 @@ Dsm::serviceGet(KernelIdx t, KernelIdx req, std::uint64_t page,
     pi.lastServiceTime = soc_.engine().now() - t_start;
     soc_.engine().spanComplete(t_start, tracks_[t], "service");
 
-    std::uint32_t payload;
-    std::uint32_t seq;
-    if (legacyWire()) {
-        K2_TRACE(soc_.engine(), sim::TraceCat::Dsm,
-                 "%s services page %llu (%s)",
-                 kernels_[t]->name().c_str(),
-                 static_cast<unsigned long long>(page),
-                 dirty ? "flush" : "clean");
-        payload = page & kPayloadMask;
-        seq = packSeq(seq_++, rw);
-    } else {
-        K2_TRACE(soc_.engine(), sim::TraceCat::Dsm,
-                 "%s services page %llu (%s, %s)",
-                 kernels_[t]->name().c_str(),
-                 static_cast<unsigned long long>(page),
-                 rw == Access::Write ? "GetX" : "GetS",
-                 dirty ? (kind_ == ProtocolKind::Moesi ? "forward"
-                                                       : "writeback")
-                       : "clean");
-        payload = coherence::packOp(grant, page);
-        seq = seq_++ & kSeqMask;
-    }
-    messages_.inc();
-    kernels_[t]->sendMail(
-        kernels_[req]->domainId(),
-        encodeMessage(MsgType::PutExclusive, payload, seq));
+    K2_TRACE(soc_.engine(), sim::TraceCat::Dsm,
+             "%s services page %llu (%s, %s)",
+             kernels_[t]->name().c_str(),
+             static_cast<unsigned long long>(page),
+             exclusive ? "GetX" : "GetS",
+             dirty ? (kind_ == ProtocolKind::Moesi ? "forward"
+                                                   : "writeback")
+                   : "clean");
+    send(t, req, MsgType::PutExclusive, coherence::packOp(grant, page));
 }
 
 // ---------------------------------------------------------------------
@@ -583,10 +528,8 @@ Dsm::accessRac(KernelIdx k, soc::Core &core, std::uint64_t page,
         co_await core.execTime(c.protocolExec);
         const sim::Time t2 = soc_.engine().now();
 
-        const KernelIdx w = rac_->writerOf(page);
-        f.awaiting = Directory::bit(w);
-        sendRequest(k, w, page, rw);
-        co_await awaitGrant(pi, k, core, page, rw, true);
+        askWriter(k, rac_->writerOf(page), page);
+        co_await awaitGrant(pi, k, core, page, true);
         if (f.abandoned) {
             f = Fault{};
             pi.settled->pulse();
@@ -650,12 +593,8 @@ Dsm::serviceAcquire(KernelIdx writer, KernelIdx req, std::uint64_t page)
              kernels_[writer]->name().c_str(),
              static_cast<unsigned long long>(page));
 
-    messages_.inc();
-    kernels_[writer]->sendMail(
-        kernels_[req]->domainId(),
-        encodeMessage(MsgType::PutExclusive,
-                      coherence::packOp(RepOp::GrantX, page),
-                      seq_++ & kSeqMask));
+    send(writer, req, MsgType::PutExclusive,
+         coherence::packOp(RepOp::GrantX, page));
 }
 
 // ---------------------------------------------------------------------
@@ -673,8 +612,7 @@ Dsm::handleMail(KernelIdx to, soc::Mail mail, soc::Core &core)
     }
     K2_ASSERT(from < kernels_.size());
 
-    const std::uint64_t page =
-        legacyWire() ? msg.payload : coherence::pageOf(msg.payload);
+    const std::uint64_t page = coherence::pageOf(msg.payload);
     const std::uint32_t op = coherence::opOf(msg.payload);
     switch (msg.type) {
       case MsgType::GetExclusive:
@@ -685,11 +623,9 @@ Dsm::handleMail(KernelIdx to, soc::Mail mail, soc::Core &core)
             K2_ASSERT(op == static_cast<std::uint32_t>(ReqOp::Acq));
             soc_.engine().spawn(serviceAcquire(to, from, page));
         } else {
-            const Access rw = legacyWire() ? unpackRw(msg.seq)
-                : op == static_cast<std::uint32_t>(ReqOp::GetX)
-                    ? Access::Write
-                    : Access::Read;
-            soc_.engine().spawn(serviceGet(to, from, page, rw));
+            soc_.engine().spawn(serviceGet(
+                to, from, page,
+                op == static_cast<std::uint32_t>(ReqOp::GetX)));
         }
         co_return;
       case MsgType::PutExclusive: {
@@ -698,14 +634,10 @@ Dsm::handleMail(KernelIdx to, soc::Mail mail, soc::Core &core)
         co_await core.execTime(soc_.costs().busAccess);
         PageInfo &pi = info(page);
         Fault &f = pi.faults[to];
-        if (legacyWire()) {
-            f.grantState = Copy::S;
-        } else {
-            switch (static_cast<RepOp>(op)) {
-              case RepOp::GrantS: f.grantState = Copy::S; break;
-              case RepOp::GrantE: f.grantState = Copy::E; break;
-              case RepOp::GrantX: f.grantState = Copy::M; break;
-            }
+        switch (static_cast<RepOp>(op)) {
+          case RepOp::GrantS: f.grantState = Copy::S; break;
+          case RepOp::GrantE: f.grantState = Copy::E; break;
+          case RepOp::GrantX: f.grantState = Copy::M; break;
         }
         f.awaiting &= ~Directory::bit(from);
         if (f.awaiting == 0) {
@@ -818,7 +750,6 @@ Dsm::snapState(snap::Io &io)
     io.check(kernels_.size(), "Dsm::kernels");
     for (sim::TrackId t : tracks_)
         io.check(t, "Dsm::track");
-    io.pod(seq_);
     io.pod(nextRegionPage_);
     io.pod(messages_);
     io.pod(demotions_);

@@ -25,6 +25,13 @@
  *  - RAC: log-based release-acquire against the page's last writer
  *    (coherence::RacState).
  *
+ * Every protocol speaks one wire format. A request is
+ * coherence::packOp(GetS|GetX|Acq, page) on MsgType::GetExclusive, a
+ * grant is packOp(GrantS|GrantE|GrantX, page) on MsgType::PutExclusive,
+ * and the seq field is 0. The receiver decodes the page, the access
+ * kind and the granted copy state from the opcode and page alone; the
+ * 17 page bits cap a DSM at coherence::kOpMaxPages (2^17) pages.
+ *
  * Costs follow the Table 5 calibration by domain class: strong kernels
  * fault fast and service in a bottom half (deferred further when
  * loaded); weak kernels fault slowly, service before any other pending
@@ -81,7 +88,8 @@ class Dsm
      * @param soc The platform.
      * @param kernels One kernel per coherence domain, main (strong)
      *        first; at most 32.
-     * @param num_pages Number of DSM-managed page keys available.
+     * @param num_pages Number of DSM-managed page keys available; at
+     *        most coherence::kOpMaxPages (fatal otherwise).
      */
     Dsm(soc::Soc &soc, std::vector<kern::Kernel *> kernels,
         std::uint64_t num_pages, Protocol protocol = Protocol::TwoState);
@@ -176,7 +184,7 @@ class Dsm
     /**
      * Capture/restore protocol state: per-page coherence state (pages
      * instantiated after the capture point are dropped), MMU/TLB
-     * contents, fault statistics, and the message sequence counter.
+     * contents and fault statistics.
      */
     void snapState(snap::Io &io);
 
@@ -213,18 +221,19 @@ class Dsm
     bool serialised() const { return rac_ || kernels_.size() > 2; }
     /** True while @p k's domain is crashed (per the fault injector). */
     bool down(KernelIdx k);
-    bool legacyWire() const;
-    void sendRequest(KernelIdx from, KernelIdx to, std::uint64_t page,
-                     Access rw);
-    /** Send @p k's request to the kernels Directory::targets names and
-     *  await a grant from each. */
-    void askHolders(KernelIdx k, std::uint64_t page, Access rw,
-                    bool exclusive);
+    /** Mail @p payload (coherence::packOp) from @p from to @p to. */
+    void send(KernelIdx from, KernelIdx to, MsgType type,
+              std::uint32_t payload);
+    /** Send @p k's GetS (GetX if @p exclusive) to the kernels
+     *  Directory::targets names and await a grant from each. */
+    void askHolders(KernelIdx k, std::uint64_t page, bool exclusive);
+    /** RAC: send @p k's Acq to the page's last writer @p w. */
+    void askWriter(KernelIdx k, KernelIdx w, std::uint64_t page);
     soc::Core &serviceCore(KernelIdx k);
     sim::Task<void> bottomHalf(KernelIdx k);
     sim::Task<void> awaitGrant(PageInfo &pi, KernelIdx k,
                                soc::Core &core, std::uint64_t page,
-                               Access rw, bool exclusive);
+                               bool exclusive);
     /** Emit @p k's completed fault as spans and Table-5 samples. */
     void recordFault(KernelIdx k, const PageInfo &pi, sim::Time t0,
                      sim::Time t1, sim::Time t2, sim::Time t3,
@@ -234,7 +243,7 @@ class Dsm
     sim::Task<void> accessCopy(KernelIdx k, soc::Core &core,
                                std::uint64_t page, Access rw);
     sim::Task<void> serviceGet(KernelIdx t, KernelIdx req,
-                               std::uint64_t page, Access rw);
+                               std::uint64_t page, bool exclusive);
     /** @} */
 
     /** @name Release-acquire (RAC). @{ */
@@ -260,7 +269,6 @@ class Dsm
     sim::Counter forwards_;   //!< MOESI dirty cache-to-cache forwards.
     sim::Counter writebacks_; //!< Dirty writebacks on service.
     RetryPolicy retry_{};
-    std::uint32_t seq_ = 0;
     std::unique_ptr<coherence::Directory> dir_; //!< All but RAC.
     std::unique_ptr<coherence::RacState> rac_;  //!< RAC.
 };

@@ -232,7 +232,6 @@ K2System::spawnNightWatch(kern::Process &proc, std::string name,
     group_->noteRequest();
     if (!group_->quorumHeld()) {
         group_->noteDegradedSpawn();
-        watchdog_->noteDegradedSpawn();
         return spawnNormal(proc, std::move(name), std::move(body));
     }
     const std::size_t leader = group_->servingReplica();

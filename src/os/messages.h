@@ -3,10 +3,13 @@
  * 32-bit hardware-mail encoding used by K2 (paper §6.3).
  *
  * Each mail is one hardware mailbox word: 3 bits of message type, 20
- * bits of payload (a page frame number for coherence messages, a pid
- * for NightWatch messages, a block index for balloon coordination) and
- * 9 bits of sequence number. The mailbox hardware guarantees in-order
- * delivery; the sequence number lets the receiver assert it.
+ * bits of payload (an opcode and a page for coherence messages -- see
+ * coherence::packOp --, a pid for NightWatch messages, a block index
+ * for balloon coordination) and a 9-bit seq field. The mailbox
+ * hardware guarantees in-order delivery, and no receiver asserts order
+ * with the seq field. It carries the reliable-mail ARQ stamp on
+ * tracked mail, the buddy order of a FreeRemote and the vote nonce of
+ * a ReplicaRep; it is 0 on DSM mail.
  */
 
 #ifndef K2_OS_MESSAGES_H
@@ -27,8 +30,8 @@ enum class MsgType : std::uint32_t
 {
     FreeRemote = 0,     //!< Page free redirected to the allocating
                         //!< kernel (payload=pfn, seq=order).
-    GetExclusive = 1,   //!< DSM: request page ownership (payload=page).
-    PutExclusive = 2,   //!< DSM: grant page ownership (payload=page).
+    GetExclusive = 1,   //!< DSM request (payload=packOp(ReqOp, page)).
+    PutExclusive = 2,   //!< DSM grant (payload=packOp(RepOp, page)).
     SuspendNw = 3,      //!< NightWatch: gate a process (payload=pid).
     AckSuspendNw = 4,   //!< NightWatch: gating acknowledged.
     ResumeNw = 5,       //!< NightWatch: ungate a process (payload=pid).

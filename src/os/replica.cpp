@@ -437,7 +437,6 @@ ReplicaGroup::registerMetrics(obs::MetricsRegistry &reg,
     reg.addCounter(prefix + ".resyncs", resyncs_);
     reg.addCounter(prefix + ".resync_pages", resyncPages_);
     reg.addCounter(prefix + ".quorum_losses", quorumLosses_);
-    reg.addCounter(prefix + ".degraded_spawns", degradedSpawns_);
     reg.addCounter(prefix + ".stray_mail", strayMail_);
     reg.addHistogram(prefix + ".election_us", electionUs_);
     reg.addHistogram(prefix + ".resync_us", resyncUs_);

@@ -162,6 +162,11 @@ class ReplicaGroup
     std::uint64_t resyncs() const { return resyncs_.value(); }
     std::uint64_t quorumLosses() const { return quorumLosses_.value(); }
     std::uint64_t degradedSpawns() const { return degradedSpawns_.value(); }
+    /** Registered by the watchdog as "os.recovery.degraded_spawns". */
+    const sim::Counter &degradedSpawnCounter() const
+    {
+        return degradedSpawns_;
+    }
     std::uint32_t term() const { return term_; }
     /** @} */
 

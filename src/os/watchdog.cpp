@@ -173,7 +173,10 @@ Watchdog::registerMetrics(obs::MetricsRegistry &reg,
     reg.addCounter(prefix + ".restarts", restarts_);
     reg.addCounter(prefix + ".pages_reclaimed", pagesReclaimed_);
     reg.addCounter(prefix + ".services_replayed", servicesReplayed_);
-    reg.addCounter(prefix + ".degraded_spawns", degradedSpawns_);
+    // The group counts them; they are a recovery outcome at every
+    // replica count.
+    reg.addCounter(prefix + ".degraded_spawns",
+                   group_.degradedSpawnCounter());
     reg.addHistogram(prefix + ".detect_us", detectUs_);
     reg.addHistogram(prefix + ".down_us", downUs_);
 }
@@ -201,7 +204,6 @@ Watchdog::snapState(snap::Io &io)
     io.pod(restarts_);
     io.pod(pagesReclaimed_);
     io.pod(servicesReplayed_);
-    io.pod(degradedSpawns_);
     io.pod(detectUs_);
     io.pod(downUs_);
 }

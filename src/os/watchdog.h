@@ -98,9 +98,6 @@ class Watchdog
     sim::Task<void> handleMail(KernelIdx to, Message msg,
                                soc::Core &core);
 
-    /** Count a spawn served on the main kernel while degraded. */
-    void noteDegradedSpawn() { degradedSpawns_.inc(); }
-
     /** @name Statistics. @{ */
     std::uint64_t crashesDetected() const { return crashes_.value(); }
     std::uint64_t restarts() const { return restarts_.value(); }
@@ -142,7 +139,6 @@ class Watchdog
     sim::Counter restarts_;
     sim::Counter pagesReclaimed_;
     sim::Counter servicesReplayed_;
-    sim::Counter degradedSpawns_;
     sim::QuantileSketch detectUs_;
     sim::QuantileSketch downUs_;
 };

@@ -28,20 +28,26 @@ using kern::Thread;
 using kern::ThreadKind;
 using sim::Task;
 
+/** The highest page the DSM mail encoding can name. */
+constexpr std::uint64_t kTopPage = coherence::kOpMaxPages - 1;
+
 /**
  * One DSM under one zoo protocol: with two kernels, the K2System's own
  * (main + shadow); with more, a standalone engine on the three-domain
- * SoC.
+ * SoC. Either DSM spans @p pages pages (by default every page the mail
+ * encoding can name).
  */
 class Harness
 {
   public:
-    Harness(coherence::ProtocolKind proto, std::size_t n)
+    Harness(coherence::ProtocolKind proto, std::size_t n,
+            std::uint64_t pages = coherence::kOpMaxPages)
     {
         if (n == 2) {
             K2Config cfg;
             cfg.soc.costs.inactiveTimeout = 0;
             cfg.dsmProtocol = proto;
+            cfg.dsmPages = pages;
             sys_ = std::make_unique<K2System>(cfg);
             proc_ = &sys_->createProcess("app");
             kernels_ = sys_->kernels();
@@ -59,7 +65,7 @@ class Harness
             owned_.back()->boot();
             kernels_.push_back(owned_.back().get());
         }
-        ownDsm_ = std::make_unique<Dsm>(*soc_, kernels_, 64, proto);
+        ownDsm_ = std::make_unique<Dsm>(*soc_, kernels_, pages, proto);
         dsm_ = ownDsm_.get();
         for (std::size_t i = 0; i < n; ++i) {
             kernels_[i]->setMailHandler(
@@ -137,13 +143,17 @@ class Conformance
     void
     oneWriterUnderPingPong()
     {
-        for (int round = 0; round < 8; ++round) {
-            const std::size_t w = static_cast<std::size_t>(round) % N;
-            h.touch(w, 3, Access::Write);
-            // Exactly the last writer holds write permission.
-            for (std::size_t k = 0; k < N; ++k) {
-                EXPECT_EQ(h.dsm().isLocallyValid(k, 3, Access::Write),
-                          k == w);
+        for (const std::uint64_t page : {std::uint64_t{3}, kTopPage}) {
+            for (int round = 0; round < 8; ++round) {
+                const std::size_t w =
+                    static_cast<std::size_t>(round) % N;
+                h.touch(w, page, Access::Write);
+                // Exactly the last writer holds write permission.
+                for (std::size_t k = 0; k < N; ++k) {
+                    EXPECT_EQ(
+                        h.dsm().isLocallyValid(k, page, Access::Write),
+                        k == w);
+                }
             }
         }
     }
@@ -163,18 +173,24 @@ class Conformance
     void
     writerRereadAfterPeerRead()
     {
-        h.touch(0, 7, Access::Write);
-        h.touch(1, 7, Access::Read); // peer pulls the page
-        const std::uint64_t faults = h.faults(0);
-        h.touch(0, 7, Access::Read);
-        if (GetParam() == coherence::ProtocolKind::TwoState) {
-            // Migratory: the peer's read took exclusive ownership, so
-            // the writer's re-read faults the page back.
-            EXPECT_EQ(h.faults(0), faults + 1);
-        } else {
-            // Read-sharing (MSI/MESI/MOESI keep the writer a sharer;
-            // RAC keeps it the log owner): the re-read stays local.
-            EXPECT_EQ(h.faults(0), faults);
+        for (const std::uint64_t page : {std::uint64_t{7}, kTopPage}) {
+            h.touch(0, page, Access::Write);
+            const std::uint64_t peer = h.faults(1);
+            h.touch(1, page, Access::Read); // peer pulls the page
+            EXPECT_EQ(h.faults(1), peer + 1);
+            EXPECT_TRUE(h.dsm().isLocallyValid(1, page, Access::Read));
+            const std::uint64_t faults = h.faults(0);
+            h.touch(0, page, Access::Read);
+            if (GetParam() == coherence::ProtocolKind::TwoState) {
+                // Migratory: the peer's read took exclusive ownership,
+                // so the writer's re-read faults the page back.
+                EXPECT_EQ(h.faults(0), faults + 1);
+            } else {
+                // Read-sharing (MSI/MESI/MOESI keep the writer a
+                // sharer; RAC keeps it the log owner): the re-read
+                // stays local.
+                EXPECT_EQ(h.faults(0), faults);
+            }
         }
     }
 
@@ -362,6 +378,14 @@ TEST_P(PairConformanceTest, SeededFuzzCompletesAndKeepsOneWriter)
 TEST_P(NdsmConformanceTest, SeededFuzzCompletesAndKeepsOneWriter)
 {
     seededFuzzKeepsOneWriter();
+}
+
+// One page more than the mail encoding can name is a configuration
+// error under every protocol.
+TEST_P(NdsmConformanceTest, MorePagesThanTheMailNamesIsFatal)
+{
+    EXPECT_THROW(Harness(GetParam(), 3, coherence::kOpMaxPages + 1),
+                 sim::FatalError);
 }
 
 TEST_P(PairConformanceTest, ConcurrentWritersSerialise)

@@ -105,21 +105,22 @@ counterOf(const obs::MetricsSnapshot &snap, const std::string &name)
  * threads go into their own sink process: NW gating suspends the
  * *owning* process's Normal threads against the shadow kernel, and a
  * ticker that gated itself would stall for a dead shadow's whole
- * restart window instead of driving traffic through it.
+ * restart window instead of driving traffic through it. @p onMain,
+ * if set, counts the requests served on the main kernel.
  */
 void
 spawnTicker(wl::Testbed &tb, sim::Duration period, sim::Time until,
-            int *served = nullptr)
+            int *onMain = nullptr)
 {
     auto &sink = tb.sys().createProcess("nw-sink");
     tb.sys().spawnNormal(
-        tb.proc(), "ticker", [&tb, &sink, period, until, served](
+        tb.proc(), "ticker", [&tb, &sink, period, until, onMain](
             Thread &t) -> Task<void> {
             while (t.kernel().engine().now() < until) {
                 tb.sys().spawnNightWatch(
-                    sink, "tick", [served](Thread &) -> Task<void> {
-                        if (served)
-                            ++*served;
+                    sink, "tick", [&tb, onMain](Thread &p) -> Task<void> {
+                        if (onMain && &p.kernel() == &tb.k2()->mainKernel())
+                            ++*onMain;
                         co_return;
                     });
                 co_await t.sleep(period);
@@ -498,6 +499,8 @@ TEST(Replica, DoubleCrashBeforeRecoveryCompletes)
     cfg.faults.add(crash2);
     cfg.replicas = 3;
     auto tb = wl::Testbed::makeK2(cfg);
+    obs::MetricsRegistry reg;
+    tb.registerMetrics(reg);
 
     const auto data = pattern(8192, 99);
     auto &proc2 = tb.sys().createProcess("shadow-writer");
@@ -512,7 +515,8 @@ TEST(Replica, DoubleCrashBeforeRecoveryCompletes)
                              co_await verifyFile(tb, t, "/double",
                                                  data);
                          });
-    spawnTicker(tb, sim::msec(1), sim::msec(80));
+    int onMain = 0;
+    spawnTicker(tb, sim::msec(1), sim::msec(80), &onMain);
     tb.engine().run();
 
     os::ReplicaGroup *g = tb.k2()->replicaGroup();
@@ -522,7 +526,16 @@ TEST(Replica, DoubleCrashBeforeRecoveryCompletes)
     EXPECT_EQ(g->leaderReplica(), 0u);
     EXPECT_EQ(g->rejoins(), 2u);
     EXPECT_EQ(g->quorumLosses(), 1u); // Only at the second crash.
-    EXPECT_GE(g->degradedSpawns(), 1u);
+    // Each request served on the strong domain under quorum loss is
+    // one degraded spawn, counted once across the registry.
+    EXPECT_GE(onMain, 1);
+    const obs::MetricsSnapshot snap = reg.snapshot();
+    std::uint64_t degraded = 0;
+    for (const auto &[name, v] : snap.values()) {
+        if (name.ends_with("degraded_spawns"))
+            degraded += v.count;
+    }
+    EXPECT_EQ(degraded, static_cast<std::uint64_t>(onMain));
     EXPECT_TRUE(g->quorumHeld());
     EXPECT_TRUE(g->replicaAlive(1));
     EXPECT_TRUE(g->replicaAlive(2));
