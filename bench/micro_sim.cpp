@@ -364,7 +364,7 @@ BM_ReliableMailRoundtrip(benchmark::State &state)
     main_k.boot();
     shadow_k.boot();
 
-    os::ReliableMail mail({&main_k, &shadow_k}, {});
+    os::ReliableMail mail({&main_k, &shadow_k});
     mail.install();
     std::uint64_t delivered = 0;
     const auto attach = [&mail, &delivered](kern::Kernel &k,

@@ -5,7 +5,9 @@
 #
 # The default pass also runs scripts/deadcode.sh, which fails on any
 # k2:: function that no product binary reaches and that
-# scripts/deadcode.allow does not list.
+# scripts/deadcode.allow does not list, and builds the k2perf/
+# benchmark package against the tree (build-k2perf/) and runs its
+# tests.
 #
 # With --asan, builds into build-asan/ with AddressSanitizer + UBSan
 # (-DK2_SANITIZE=ON); this continuously checks the engine's manual
@@ -123,6 +125,22 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
 # It builds its own tree, so the sanitizer pass skips it.
 if [ "$MODE" != "--asan" ]; then
     scripts/deadcode.sh
+fi
+
+# Benchmark build: k2perf/ is its own CMake package over src/ (the
+# Release build k2perf/run.py makes), so a library API change that
+# breaks the benchmark fails here. Then run the benchmark's own tests.
+# Its own tree too, so the sanitizer pass skips it.
+if [ "$MODE" != "--asan" ]; then
+    K2PERF_GEN=()
+    if [ ! -f build-k2perf/CMakeCache.txt ]; then
+        K2PERF_GEN=(-G Ninja)
+    fi
+    cmake -S k2perf -B build-k2perf "${K2PERF_GEN[@]}" \
+        -DCMAKE_BUILD_TYPE=Release >/dev/null
+    cmake --build build-k2perf -j
+    ctest --test-dir build-k2perf --output-on-failure
+    echo "k2perf: benchmark package builds against the tree, tests OK"
 fi
 
 # Observability smoke: one short testbed run must emit a metrics

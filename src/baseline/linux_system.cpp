@@ -8,6 +8,9 @@ namespace baseline {
 
 namespace {
 
+/** Kernel local-region pages (the rest of RAM is the page pool). */
+constexpr std::uint64_t kLocalPages = 12288;
+
 /** Hardware coherence makes shared-state touches free. */
 class LocalSharedRegion : public os::SharedRegion
 {
@@ -28,23 +31,18 @@ class LocalSharedRegion : public os::SharedRegion
 } // namespace
 
 LinuxSystem::LinuxSystem(LinuxConfig cfg)
-    : cfg_(std::move(cfg))
 {
-    soc_ = std::make_unique<soc::Soc>(engine_, cfg_.soc);
+    soc_ = std::make_unique<soc::Soc>(engine_, std::move(cfg.soc));
     layout_ = std::make_unique<kern::AddressSpaceLayout>(
         soc_->pageBytes(), soc_->numPages(),
         std::vector<std::pair<std::string, std::uint64_t>>{
-            {"linux", cfg_.localPages}});
+            {"linux", kLocalPages}});
 
     kernel_ = std::make_unique<kern::Kernel>(*soc_, soc::kStrongDomain,
                                              "linux");
     kernel_->boot();
     // The single kernel owns the whole page pool from boot.
     kernel_->pageAllocator().addFreeRange(layout_->global().pages);
-
-    auto &dom = soc_->domain(soc::kStrongDomain);
-    for (std::size_t i = 0; i < dom.numCores(); ++i)
-        dom.core(i).setOperatingPoint(cfg_.strongOperatingPoint);
 }
 
 LinuxSystem::~LinuxSystem() = default;

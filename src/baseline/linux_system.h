@@ -26,11 +26,6 @@ namespace baseline {
 struct LinuxConfig
 {
     soc::SocConfig soc = soc::omap4Config();
-    /** Strong-core DVFS point index at boot (0 = 350 MHz, the paper's
-     *  most efficient point for the energy benchmarks). */
-    std::size_t strongOperatingPoint = 0;
-    /** Kernel local-region pages (the rest of RAM is the page pool). */
-    std::uint64_t localPages = 12288;
 };
 
 class LinuxSystem : public os::SystemImage
@@ -63,7 +58,6 @@ class LinuxSystem : public os::SystemImage
     void snapState(snap::Io &io) override;
 
   private:
-    LinuxConfig cfg_;
     sim::Engine engine_;
     std::unique_ptr<soc::Soc> soc_;
     std::unique_ptr<kern::AddressSpaceLayout> layout_;

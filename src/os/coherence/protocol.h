@@ -23,8 +23,7 @@
  * eight bits on tracked mail. The opcode names the request (GetS,
  * GetX, Acq) or the granted copy state (GrantS, GrantE, GrantX), so
  * the receiver needs nothing beyond the payload. The 17 page bits cap
- * a DSM at 2^17 pages (kOpMaxPages); the default
- * K2Config::dsmPages = 65536 fits comfortably.
+ * a DSM at 2^17 pages (kOpMaxPages), the span of K2System's DSM.
  */
 
 #ifndef K2_OS_COHERENCE_PROTOCOL_H

@@ -221,63 +221,62 @@ Dsm::awaitGrant(PageInfo &pi, KernelIdx k, soc::Core &core,
                 std::uint64_t page, bool exclusive)
 {
     // Spin (synchronously -- the faulting context may be an interrupt
-    // handler) until the grant arrives. With a retry policy, re-send
-    // the request when the grant times out: the request or its grant
-    // may have been lost, or the asked kernel may be down until the
+    // handler) until the grant arrives; a pulse for another kernel's
+    // grant on this page re-waits. With a retry policy, re-send the
+    // request when the grant times out: the request or its grant may
+    // have been lost, or the asked kernel may be down until the
     // watchdog revives it (or reclaims the page from it).
     Fault &f = pi.faults[k];
     pi.grant->reset();
     f.grantArrived = false;
     core.pinActive();
-    if (retry_.timeout == 0) {
-        co_await pi.grant->wait();
-    } else {
-        sim::Duration rto = retry_.timeout;
-        while (!f.grantArrived) {
-            bool timer_fired = false;
-            sim::Event *grant = pi.grant.get();
-            sim::EventId timer = soc_.engine().after(
-                rto, [grant, &timer_fired]() {
-                    timer_fired = true;
-                    grant->pulse();
-                });
-            co_await pi.grant->wait();
-            soc_.engine().cancel(timer);
-            if (f.grantArrived)
-                break;
-            if (!timer_fired)
-                continue; // Woken by an unrelated pulse; re-wait.
-            if (f.abandoned) {
-                // Reclaimed mid-fault: resend nothing; once this
-                // kernel's domain is back, the caller faults afresh.
-                if (!down(k))
-                    break;
-                rto = retry_.next(rto);
-                continue;
-            }
-            retries_.inc();
-            if (rac_) {
-                K2_TRACE(soc_.engine(), sim::TraceCat::Dsm,
-                         "%s retries Acq for page %llu",
-                         kernels_[k]->name().c_str(),
-                         static_cast<unsigned long long>(page));
-                // Re-read the writer: a reclaim may have moved the
-                // page since the original Acq.
-                const KernelIdx w = rac_->writerOf(page);
-                if (w == k)
-                    break;
-                askWriter(k, w, page);
-            } else {
-                K2_TRACE(soc_.engine(), sim::TraceCat::Dsm,
-                         "%s retries Get for page %llu",
-                         kernels_[k]->name().c_str(),
-                         static_cast<unsigned long long>(page));
-                // Ask the page's current holders, which a reclaim may
-                // have changed since the original request.
-                askHolders(k, page, exclusive);
-            }
-            rto = retry_.next(rto);
+    sim::Duration rto = retry_.timeout;
+    while (!f.grantArrived) {
+        bool timer_fired = false;
+        sim::Event *grant = pi.grant.get();
+        sim::EventId timer;
+        if (rto != 0) {
+            timer = soc_.engine().after(rto, [grant, &timer_fired]() {
+                timer_fired = true;
+                grant->pulse();
+            });
         }
+        co_await pi.grant->wait();
+        soc_.engine().cancel(timer);
+        if (f.grantArrived)
+            break;
+        if (!timer_fired)
+            continue; // Woken by an unrelated pulse; re-wait.
+        if (f.abandoned) {
+            // Reclaimed mid-fault: resend nothing; once this kernel's
+            // domain is back, the caller faults afresh.
+            if (!down(k))
+                break;
+            rto = retry_.next(rto);
+            continue;
+        }
+        retries_.inc();
+        if (rac_) {
+            K2_TRACE(soc_.engine(), sim::TraceCat::Dsm,
+                     "%s retries Acq for page %llu",
+                     kernels_[k]->name().c_str(),
+                     static_cast<unsigned long long>(page));
+            // Re-read the writer: a reclaim may have moved the page
+            // since the original Acq.
+            const KernelIdx w = rac_->writerOf(page);
+            if (w == k)
+                break;
+            askWriter(k, w, page);
+        } else {
+            K2_TRACE(soc_.engine(), sim::TraceCat::Dsm,
+                     "%s retries Get for page %llu",
+                     kernels_[k]->name().c_str(),
+                     static_cast<unsigned long long>(page));
+            // Ask the page's current holders, which a reclaim may have
+            // changed since the original request.
+            askHolders(k, page, exclusive);
+        }
+        rto = retry_.next(rto);
     }
     core.unpinActive();
 }

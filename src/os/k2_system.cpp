@@ -12,6 +12,22 @@ namespace os {
 
 namespace {
 
+/** Page blocks handed to each kernel at boot. */
+constexpr std::size_t kInitialMainBlocks = 8;
+constexpr std::size_t kInitialShadowBlocks = 2;
+/** Local-region sizes in pages (rounded to 16 MB blocks). */
+constexpr std::uint64_t kShadowLocalPages = 4096; //!< 16 MB.
+constexpr std::uint64_t kMainLocalPages = 12288;  //!< 48 MB.
+/**
+ * DSM grant retry while recovery is armed; the timeout must exceed the
+ * loaded fault round-trip including the peer core's wake latency
+ * (~250 us worst case).
+ */
+constexpr RetryPolicy kDsmRetry{sim::usec(500), sim::msec(4)};
+// A lost tracked mail is the ARQ's to resend: its first retransmit
+// must fire before the DSM re-asks for the grant.
+static_assert(ReliableMail::kRetry.timeout < kDsmRetry.timeout);
+
 /** SharedRegion backed by the K2 DSM. */
 class DsmSharedRegion : public SharedRegion
 {
@@ -37,32 +53,31 @@ class DsmSharedRegion : public SharedRegion
 } // namespace
 
 K2System::K2System(K2Config cfg)
-    : cfg_(std::move(cfg))
 {
-    const std::size_t replicas = std::max<std::size_t>(cfg_.replicas, 1);
+    const std::size_t replicas = std::max<std::size_t>(cfg.replicas, 1);
     if (replicas >= 2) {
         // Clone the weak domain for the extra shadow replicas; their
         // domain ids follow the configured domains.
         K2_ASSERT(replicas <= 15);
-        K2_ASSERT(cfg_.soc.domains.size() > soc::kWeakDomain);
-        const soc::DomainSpec weak = cfg_.soc.domains[soc::kWeakDomain];
+        K2_ASSERT(cfg.soc.domains.size() > soc::kWeakDomain);
+        const soc::DomainSpec weak = cfg.soc.domains[soc::kWeakDomain];
         for (std::size_t i = 2; i <= replicas; ++i) {
             soc::DomainSpec d = weak;
             d.name = weak.name + std::to_string(i);
-            cfg_.soc.domains.push_back(d);
+            cfg.soc.domains.push_back(d);
         }
     }
     const soc::DomainId firstExtraDomain = static_cast<soc::DomainId>(
-        cfg_.soc.domains.size() - (replicas - 1));
+        cfg.soc.domains.size() - (replicas - 1));
 
-    soc_ = std::make_unique<soc::Soc>(engine_, cfg_.soc);
+    soc_ = std::make_unique<soc::Soc>(engine_, std::move(cfg.soc));
 
     // The fault plane and the recovery protocols only exist when armed;
     // a zero-fault run takes exactly the pre-fault code paths. A
     // replicated system is always armed: replication *is* a recovery
     // protocol.
-    const bool armed = !cfg_.faults.empty() || replicas >= 2;
-    for (const fault::FaultSpec &spec : cfg_.faults.specs()) {
+    const bool armed = !cfg.faults.empty() || replicas >= 2;
+    for (const fault::FaultSpec &spec : cfg.faults.specs()) {
         if (spec.kind == fault::FaultKind::DomainCrash &&
             spec.domain == soc::kStrongDomain) {
             K2_FATAL("K2 cannot recover a crashed strong domain; "
@@ -71,17 +86,15 @@ K2System::K2System(K2Config cfg)
     }
     if (armed) {
         injector_ =
-            std::make_unique<fault::FaultInjector>(engine_, cfg_.faults);
+            std::make_unique<fault::FaultInjector>(engine_, cfg.faults);
         soc_->attachFaultInjector(injector_.get());
     }
 
     std::vector<std::pair<std::string, std::uint64_t>> locals;
-    locals.emplace_back("shadow", cfg_.shadowLocalPages);
-    for (std::size_t i = 2; i <= replicas; ++i) {
-        locals.emplace_back("shadow" + std::to_string(i),
-                            cfg_.shadowLocalPages);
-    }
-    locals.emplace_back("main", cfg_.mainLocalPages);
+    locals.emplace_back("shadow", kShadowLocalPages);
+    for (std::size_t i = 2; i <= replicas; ++i)
+        locals.emplace_back("shadow" + std::to_string(i), kShadowLocalPages);
+    locals.emplace_back("main", kMainLocalPages);
     layout_ = std::make_unique<kern::AddressSpaceLayout>(
         soc_->pageBytes(), soc_->numPages(), std::move(locals));
 
@@ -108,24 +121,22 @@ K2System::K2System(K2Config cfg)
     const std::vector<kern::Kernel *> allKernels = kernels();
 
     if (armed) {
-        reliable_ = std::make_unique<ReliableMail>(allKernels,
-                                                   cfg_.recovery.mail);
+        reliable_ = std::make_unique<ReliableMail>(allKernels);
         reliable_->install();
     }
 
     // Shared regions span every kernel through the DSM. Grant retries
     // are on whenever recovery is armed (a replica owner can crash).
-    dsm_ = std::make_unique<Dsm>(*soc_, allKernels, cfg_.dsmPages,
-                                 cfg_.dsmProtocol);
-    if (armed) {
-        dsm_->setRetryPolicy(cfg_.recovery.dsmRetry);
-    }
+    dsm_ = std::make_unique<Dsm>(*soc_, allKernels, coherence::kOpMaxPages,
+                                 cfg.dsmProtocol);
+    if (armed)
+        dsm_->setRetryPolicy(kDsmRetry);
 
     meta_ = std::make_unique<MetaLevelManager>(
         *soc_, std::array<kern::Kernel *, 2>{&main, &shadow},
-        layout_->global().pages, cfg_.meta);
-    meta_->bootstrapBlocks(0, cfg_.initialMainBlocks);
-    meta_->bootstrapBlocks(1, cfg_.initialShadowBlocks);
+        layout_->global().pages);
+    meta_->bootstrapBlocks(0, kInitialMainBlocks);
+    meta_->bootstrapBlocks(1, kInitialShadowBlocks);
     meta_->start();
 
     nightWatch_ = std::make_unique<NightWatch>(*soc_, main, shadow);
@@ -137,13 +148,11 @@ K2System::K2System(K2Config cfg)
     // The paper's one shadow kernel is a group of one: same recovery
     // path as any replication degree, with no vote traffic.
     group_ = std::make_unique<ReplicaGroup>(*soc_, allKernels, *dsm_,
-                                            *irqRouter_,
-                                            cfg_.recovery.replica);
+                                            *irqRouter_);
 
     if (armed) {
         watchdog_ = std::make_unique<Watchdog>(
-            *soc_, main, *group_, *irqRouter_, injector_.get(),
-            cfg_.recovery.watchdog);
+            *soc_, main, *group_, *irqRouter_, injector_.get());
         // Repeated retransmission without an ack on any channel is the
         // watchdog's crash-suspicion signal. Shadow->main silence also
         // counts: in the simulation a crashed domain's threads keep

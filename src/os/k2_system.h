@@ -46,18 +46,17 @@ class FaultInjector;
 
 namespace os {
 
+/**
+ * What a caller varies per system: the platform, the coherence
+ * protocol, the shadow replication degree and the fault plan. Every
+ * other boot parameter (DSM span, memory layout, balloon watermark,
+ * recovery timers) has one value in use and is a constant next to the
+ * component that reads it.
+ */
 struct K2Config
 {
     soc::SocConfig soc = soc::omap4Config();
     Dsm::Protocol dsmProtocol = Dsm::Protocol::TwoState;
-    /** DSM page keys available to shadowed services. */
-    std::uint64_t dsmPages = 65536;
-    /** Page blocks handed to each kernel at boot. */
-    std::size_t initialMainBlocks = 8;
-    std::size_t initialShadowBlocks = 2;
-    /** Local-region sizes in pages (rounded to 16 MB blocks). */
-    std::uint64_t shadowLocalPages = 4096;  //!< 16 MB.
-    std::uint64_t mainLocalPages = 12288;   //!< 48 MB.
     /**
      * Shadow-service replication degree. Shadowed requests always
      * route through the ReplicaGroup. 1 (the default) is the paper's
@@ -70,7 +69,6 @@ struct K2Config
      * and bully re-election on crash.
      */
     std::size_t replicas = 1;
-    MetaLevelManager::Config meta{};
     /**
      * Fault-injection schedule. An empty plan leaves the fault plane
      * and the recovery protocols entirely disarmed: no hooks, no extra
@@ -78,17 +76,6 @@ struct K2Config
      * without them.
      */
     fault::FaultPlan faults{};
-    struct RecoveryConfig
-    {
-        ReliableMail::Config mail{};
-        /** DSM grant retry; the timeout must exceed the loaded fault
-         *  round-trip including the peer core's wake latency
-         *  (~250 us worst case). */
-        RetryPolicy dsmRetry{sim::usec(500), sim::msec(4)};
-        Watchdog::Config watchdog{};
-        ReplicaGroup::Config replica{};
-    };
-    RecoveryConfig recovery{};
 };
 
 class K2System : public SystemImage
@@ -163,7 +150,6 @@ class K2System : public SystemImage
                                  soc::Core &core);
     kern::Kernel &kernelByIdx(KernelIdx k);
 
-    K2Config cfg_;
     sim::Engine engine_;
     std::unique_ptr<fault::FaultInjector> injector_;
     std::unique_ptr<soc::Soc> soc_;

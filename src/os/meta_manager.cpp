@@ -8,8 +8,8 @@ namespace os {
 
 MetaLevelManager::MetaLevelManager(soc::Soc &soc,
                                    std::array<kern::Kernel *, 2> kernels,
-                                   kern::PageRange global, Config cfg)
-    : soc_(soc), kernels_(kernels), global_(global), cfg_(cfg)
+                                   kern::PageRange global)
+    : soc_(soc), kernels_(kernels), global_(global)
 {
     const std::size_t blocks = global.count / BalloonDriver::kBlockPages;
     K2_ASSERT(blocks > 0);
@@ -98,8 +98,7 @@ MetaLevelManager::start()
     for (KernelIdx k = 0; k < 2; ++k) {
         kernels_[k]->setPressureProbe(
             [this, k](std::uint64_t free_pages) {
-                if (free_pages < cfg_.lowWatermarkPages &&
-                    !pressurePending_[k]) {
+                if (free_pages < kLowWatermarkPages && !pressurePending_[k]) {
                     pressurePending_[k] = true;
                     pressureEvents.inc();
                     kick_[k]->pulse();
@@ -144,14 +143,14 @@ MetaLevelManager::deflateOne(kern::Thread &t)
 
     // The block-owner table is shared K2 state guarded by a hardware
     // spinlock.
-    co_await soc_.spinlocks().acquire(cfg_.spinlockIdx, t.core());
+    co_await soc_.spinlocks().acquire(kSpinlockIdx, t.core());
     auto idx = pickMetaBlockFor(k);
     if (!idx) {
-        soc_.spinlocks().release(cfg_.spinlockIdx);
+        soc_.spinlocks().release(kSpinlockIdx);
         co_return std::nullopt;
     }
     owners_[*idx] = ownerEnum(k);
-    soc_.spinlocks().release(cfg_.spinlockIdx);
+    soc_.spinlocks().release(kSpinlockIdx);
 
     K2_TRACE(soc_.engine(), sim::TraceCat::Mem, "deflate block %zu -> %s",
              *idx, kernels_[k]->name().c_str());
@@ -166,17 +165,16 @@ MetaLevelManager::inflateOne(kern::Thread &t)
     const KernelIdx k = (&kern == kernels_[0]) ? 0 : 1;
 
     for (std::size_t skip = 0;; ++skip) {
-        co_await soc_.spinlocks().acquire(cfg_.spinlockIdx, t.core());
+        co_await soc_.spinlocks().acquire(kSpinlockIdx, t.core());
         auto idx = pickOwnedBlockOf(k, skip);
-        soc_.spinlocks().release(cfg_.spinlockIdx);
+        soc_.spinlocks().release(kSpinlockIdx);
         if (!idx)
             co_return std::nullopt;
 
         if (co_await balloons_[k]->inflate(t, blockRange(*idx))) {
-            co_await soc_.spinlocks().acquire(cfg_.spinlockIdx,
-                                              t.core());
+            co_await soc_.spinlocks().acquire(kSpinlockIdx, t.core());
             owners_[*idx] = BlockOwner::Meta;
-            soc_.spinlocks().release(cfg_.spinlockIdx);
+            soc_.spinlocks().release(kSpinlockIdx);
             K2_TRACE(soc_.engine(), sim::TraceCat::Mem,
                      "inflate block %zu <- %s", *idx,
                      kernels_[k]->name().c_str());

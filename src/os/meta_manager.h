@@ -40,24 +40,14 @@ class MetaLevelManager
   public:
     enum class BlockOwner : std::uint8_t { Meta, Main, Shadow };
 
-    struct Config
-    {
-        /** Deflate a block into a kernel when its free pages drop
-         *  below this. */
-        std::uint64_t lowWatermarkPages = 1024;
-        /** Hardware spinlock index guarding the block-owner table. */
-        std::size_t spinlockIdx = 0;
-    };
-
     /**
      * @param soc Platform.
      * @param kernels Main (0) and shadow (1) kernels.
      * @param global The global region from the address-space layout.
-     * @param cfg Watermark and spinlock settings.
      */
     MetaLevelManager(soc::Soc &soc,
                      std::array<kern::Kernel *, 2> kernels,
-                     kern::PageRange global, Config cfg);
+                     kern::PageRange global);
 
     /** Blocks in the global region. */
     std::size_t numBlocks() const { return owners_.size(); }
@@ -108,6 +98,12 @@ class MetaLevelManager
     void snapState(snap::Io &io);
 
   private:
+    /** Deflate a block into a kernel when its free pages drop below
+     *  this. */
+    static constexpr std::uint64_t kLowWatermarkPages = 1024;
+    /** Hardware spinlock index guarding the block-owner table. */
+    static constexpr std::size_t kSpinlockIdx = 0;
+
     sim::Task<void> kmetad(KernelIdx k, kern::Thread &self);
 
     /** Next block to deflate into kernel @p k, per placement policy. */
@@ -125,7 +121,6 @@ class MetaLevelManager
     soc::Soc &soc_;
     std::array<kern::Kernel *, 2> kernels_;
     kern::PageRange global_;
-    Config cfg_;
     std::vector<BlockOwner> owners_;
     std::array<std::unique_ptr<BalloonDriver>, 2> balloons_;
     std::array<std::unique_ptr<sim::Event>, 2> kick_;

@@ -12,7 +12,7 @@ namespace os {
 namespace {
 
 /** Low 8 bits of the seq field carry the channel sequence number;
- *  bit 8 (the DSM read/write flag) is preserved. */
+ *  bit 8 is unused on tracked mail, and no receiver reads it. */
 constexpr std::uint32_t kChanSeqMask = 0xFFu;
 constexpr std::uint32_t kSeqWindow = 256;
 
@@ -24,15 +24,11 @@ stamp(std::uint32_t word, std::uint32_t seq)
 
 } // namespace
 
-ReliableMail::ReliableMail(std::vector<kern::Kernel *> kernels,
-                           Config cfg)
-    : kernels_(std::move(kernels)), cfg_(cfg),
+ReliableMail::ReliableMail(std::vector<kern::Kernel *> kernels)
+    : kernels_(std::move(kernels)),
       channels_(kernels_.size() * kernels_.size())
 {
     K2_ASSERT(kernels_.size() >= 2);
-    K2_ASSERT(cfg_.maxAttempts >= 1);
-    K2_ASSERT(cfg_.suspectAttempts >= 1 &&
-              cfg_.suspectAttempts <= cfg_.maxAttempts);
 }
 
 bool
@@ -119,7 +115,7 @@ ReliableMail::send(KernelIdx from, soc::DomainId to_domain,
     Pending &p = ch.inflight[seq];
     p.word = stamped;
     p.attempt = 1;
-    p.rto = cfg_.retry.timeout;
+    p.rto = kRetry.timeout;
     p.sentAt = kernels_[from]->engine().now();
     trackedSent_.inc();
     kernels_[from]->sendMailRaw(to_domain, stamped);
@@ -143,21 +139,21 @@ ReliableMail::onTimeout(KernelIdx from, KernelIdx to, std::uint32_t seq)
     if (it == ch.inflight.end())
         return; // Acked between fire and dispatch.
     Pending &p = it->second;
-    if (p.attempt >= cfg_.maxAttempts) {
+    if (p.attempt >= kMaxAttempts) {
         giveups_.inc();
         ch.inflight.erase(it);
         if (suspect_)
             suspect_(from, to);
         return;
     }
-    if (p.attempt == cfg_.suspectAttempts && suspect_) {
+    if (p.attempt == kSuspectAttempts && suspect_) {
         // The peer has been silent through several backoff rounds:
         // wake the watchdog, but keep retransmitting -- the mail must
         // still land if the peer is merely slow or gets restarted.
         suspect_(from, to);
     }
     ++p.attempt;
-    p.rto = cfg_.retry.next(p.rto);
+    p.rto = kRetry.next(p.rto);
     p.sentAt = kernels_[from]->engine().now();
     retransmits_.inc();
     kernels_[from]->engine().spawn(chargeAndResend(
@@ -259,7 +255,7 @@ ReliableMail::snapState(snap::Io &io)
     io.pod(acks_);
     io.pod(dupDropped_);
     io.pod(giveups_);
-    io.pod(ackRttUs_);
+    ackRttUs_.snapState(io);
 }
 
 } // namespace os

@@ -9,16 +9,16 @@
  *
  *  - the sender stamps each *tracked* mail with an 8-bit channel
  *    sequence number (the low 8 bits of the mail's seq field, which no
- *    tracked receiver interprets -- the DSM's read/write flag lives in
- *    bit 8 and is preserved);
+ *    tracked receiver interprets; bit 8 is unused on tracked mail and
+ *    no receiver reads it);
  *  - the receiver acks every tracked mail (Control/MailAck, operand =
  *    seq) -- including duplicates, which covers lost acks -- and
  *    suppresses re-delivery through a 256-entry sliding seq window;
  *  - the sender retransmits unacked mail after a timeout with bounded
- *    exponential backoff; after suspectAttempts silent transmits it
+ *    exponential backoff; after kSuspectAttempts silent transmits it
  *    fires the suspect hook (the watchdog's suspicion trigger) while
  *    continuing to retransmit, so mail survives a crash-and-restart
- *    cycle; after maxAttempts it finally gives up and counts it.
+ *    cycle; after kMaxAttempts it finally gives up and counts it.
  *
  * Untracked mail (FreeRemote, whose seq field carries real data, and
  * the MailAck/Heartbeat/HeartbeatAck control mails themselves) passes
@@ -56,34 +56,16 @@ namespace os {
 class ReliableMail
 {
   public:
-    struct Config
-    {
-        /**
-         * Retransmit timeout. The initial 300 us must sit above the
-         * loaded ack round trip, which includes the receiving core's
-         * wake latency (150 us for the strong domain). The 8x cap
-         * gives the deterministic doubling schedule (300, 600, 1200,
-         * 2400, 2400, ... us), which de-synchronises retransmit
-         * storms during injected loss bursts while keeping the
-         * per-mail retransmit lifetime long enough to ride out a
-         * crash-and-restart cycle.
-         */
-        RetryPolicy retry{sim::usec(300), sim::usec(2400)};
-        /**
-         * Attempt count at which the suspect hook first fires (the
-         * watchdog's suspicion trigger). Retransmission continues past
-         * it: if the peer was merely slow (or is being restarted), the
-         * mail must still get through once it comes back.
-         */
-        std::uint32_t suspectAttempts = 4;
-        /**
-         * Hard cap on transmits per mail. With the default retry
-         * the cumulative retransmit lifetime (~55 ms) comfortably
-         * outlives a crash + probe + restart cycle, so tracked mail
-         * survives a shadow-kernel reboot.
-         */
-        std::uint32_t maxAttempts = 25;
-    };
+    /**
+     * Retransmit timeout. The initial 300 us must sit above the loaded
+     * ack round trip, which includes the receiving core's wake latency
+     * (150 us for the strong domain). The 8x cap gives the
+     * deterministic doubling schedule (300, 600, 1200, 2400, 2400, ...
+     * us), which de-synchronises retransmit storms during injected
+     * loss bursts while keeping the per-mail retransmit lifetime long
+     * enough to ride out a crash-and-restart cycle.
+     */
+    static constexpr RetryPolicy kRetry{sim::usec(300), sim::usec(2400)};
 
     /** Called on repeated retransmission without an ack, and again at
      *  final give-up (from, to kernels). */
@@ -93,7 +75,7 @@ class ReliableMail
      * @param kernels The participating kernels, indexed by KernelIdx.
      *                Works for the K2 pair and for N-domain setups.
      */
-    ReliableMail(std::vector<kern::Kernel *> kernels, Config cfg);
+    explicit ReliableMail(std::vector<kern::Kernel *> kernels);
 
     /**
      * Interpose on every kernel's outgoing mail (setMailTransport).
@@ -135,6 +117,23 @@ class ReliableMail
     void snapState(snap::Io &io);
 
   private:
+    /**
+     * Attempt count at which the suspect hook first fires (the
+     * watchdog's suspicion trigger). Retransmission continues past it:
+     * if the peer was merely slow (or is being restarted), the mail
+     * must still get through once it comes back.
+     */
+    static constexpr std::uint32_t kSuspectAttempts = 4;
+    /**
+     * Hard cap on transmits per mail. With kRetry the cumulative
+     * retransmit lifetime (~55 ms) comfortably outlives a crash +
+     * probe + restart cycle, so tracked mail survives a shadow-kernel
+     * reboot.
+     */
+    static constexpr std::uint32_t kMaxAttempts = 25;
+    static_assert(kSuspectAttempts >= 1 &&
+                  kSuspectAttempts <= kMaxAttempts);
+
     struct Pending
     {
         std::uint32_t word = 0;
@@ -168,7 +167,6 @@ class ReliableMail
     KernelIdx kernelOfDomain(soc::DomainId d) const;
 
     std::vector<kern::Kernel *> kernels_;
-    Config cfg_;
     std::vector<Channel> channels_;
     SuspectHook suspect_;
     sim::Counter trackedSent_;

@@ -11,9 +11,9 @@ namespace os {
 
 ReplicaGroup::ReplicaGroup(soc::Soc &soc,
                            std::vector<kern::Kernel *> kernels,
-                           Dsm &dsm, IrqRouter &router, Config cfg)
+                           Dsm &dsm, IrqRouter &router)
     : soc_(soc), kernels_(std::move(kernels)), dsm_(dsm),
-      router_(router), cfg_(cfg)
+      router_(router)
 {
     K2_ASSERT(kernels_.size() >= 2); // coordinator + at least 1 replica
     K2_ASSERT(numReplicas() <= 15);  // leader index fits 4 bits.
@@ -24,7 +24,7 @@ ReplicaGroup::ReplicaGroup(soc::Soc &soc,
     // track (until a quorum span needs one), no state region.
     if (numReplicas() > 1) {
         track_ = soc_.engine().addTrack("os.replica");
-        stateRange_ = dsm_.allocRegion(cfg_.statePages);
+        stateRange_ = dsm_.allocRegion(kStatePages);
     }
 }
 
@@ -112,7 +112,7 @@ ReplicaGroup::voteRound()
                               encodeCtl(CtlOp::ReplicaReq, nonce), 0));
         }
     }
-    co_await soc_.engine().sleep(cfg_.voteTimeout);
+    co_await soc_.engine().sleep(kVoteTimeout);
     closeVote(nonce);
 }
 
@@ -197,7 +197,7 @@ ReplicaGroup::runElection()
                               encodeCtl(CtlOp::Election, term_), 0));
         }
     }
-    co_await soc_.engine().sleep(cfg_.electionSettle);
+    co_await soc_.engine().sleep(kElectionSettle);
 
     // The lowest live index received no ElectionOk: it leads.
     for (std::size_t r = 0; r < numReplicas(); ++r) {
@@ -482,8 +482,8 @@ ReplicaGroup::snapState(snap::Io &io)
     io.pod(quorumLosses_);
     io.pod(degradedSpawns_);
     io.pod(strayMail_);
-    io.pod(electionUs_);
-    io.pod(resyncUs_);
+    electionUs_.snapState(io);
+    resyncUs_.snapState(io);
 }
 
 } // namespace os

@@ -73,19 +73,6 @@ namespace os {
 class ReplicaGroup
 {
   public:
-    struct Config
-    {
-        /** Ballot-collection window per shadowed request. Long enough
-         *  for a couple of ARQ retransmits under injected loss. */
-        sim::Duration voteTimeout = sim::msec(2);
-        /** Time for Election/ElectionOk mail to fly before the bully
-         *  round is scored. */
-        sim::Duration electionSettle = sim::usec(300);
-        /** DSM pages of replicated service state the new leader
-         *  re-syncs after an election. */
-        std::uint64_t statePages = 32;
-    };
-
     /**
      * @param soc Platform.
      * @param kernels Strong coordinator kernel first, then one kernel
@@ -95,7 +82,7 @@ class ReplicaGroup
      * @param router Interrupt router, degraded on quorum loss.
      */
     ReplicaGroup(soc::Soc &soc, std::vector<kern::Kernel *> kernels,
-                 Dsm &dsm, IrqRouter &router, Config cfg);
+                 Dsm &dsm, IrqRouter &router);
 
     std::size_t numReplicas() const { return kernels_.size() - 1; }
     /** Majority size: floor(N/2) + 1. */
@@ -189,6 +176,15 @@ class ReplicaGroup
     };
 
     static constexpr std::uint32_t kStaleEpoch = 0xFFFFFFFFu;
+    /** Ballot-collection window per shadowed request. Long enough for
+     *  a couple of ARQ retransmits under injected loss. */
+    static constexpr sim::Duration kVoteTimeout = sim::msec(2);
+    /** Time for Election/ElectionOk mail to fly before the bully round
+     *  is scored. */
+    static constexpr sim::Duration kElectionSettle = sim::usec(300);
+    /** DSM pages of replicated service state the new leader re-syncs
+     *  after an election. */
+    static constexpr std::uint64_t kStatePages = 32;
 
     static std::uint16_t digest16(std::uint32_t nonce,
                                   std::uint32_t epoch);
@@ -205,7 +201,6 @@ class ReplicaGroup
     std::vector<kern::Kernel *> kernels_;
     Dsm &dsm_;
     IrqRouter &router_;
-    Config cfg_;
     sim::TrackId track_{};
     kern::PageRange stateRange_{};
     std::vector<std::uint8_t> alive_;

@@ -12,11 +12,10 @@ namespace os {
 
 Watchdog::Watchdog(soc::Soc &soc, kern::Kernel &main,
                    ReplicaGroup &group, IrqRouter &router,
-                   fault::FaultInjector *inj, Config cfg)
+                   fault::FaultInjector *inj)
     : soc_(soc), main_(main), group_(group), router_(router),
-      injector_(inj), cfg_(cfg)
+      injector_(inj)
 {
-    K2_ASSERT(cfg_.missThreshold >= 1);
     probing_.assign(group_.numReplicas(), 0);
     down_.assign(group_.numReplicas(), 0);
     ackSeen_.assign(group_.numReplicas(), 0);
@@ -62,7 +61,7 @@ Watchdog::probeLoop(std::size_t r)
             group_.replicaKernel(r).domainId(),
             encodeMessage(MsgType::Control,
                           encodeCtl(CtlOp::Heartbeat, nonce), 0));
-        co_await soc_.engine().sleep(cfg_.period);
+        co_await soc_.engine().sleep(kPeriod);
         probeOwner_.erase(nonce);
         if (ackSeen_[r]) {
             falseAlarms_.inc();
@@ -71,7 +70,7 @@ Watchdog::probeLoop(std::size_t r)
                      "watchdog probe answered; false alarm");
             co_return;
         }
-        if (++missed >= cfg_.missThreshold) {
+        if (++missed >= kMissThreshold) {
             co_await recover(r);
             probing_[r] = 0;
             co_return;
@@ -106,7 +105,7 @@ Watchdog::recover(std::size_t r)
     //    domain, reset its interrupt controller and replay the
     //    kernel's recorded IRQ registrations (its shadowed-service
     //    device setup).
-    co_await soc_.engine().sleep(cfg_.restartLatency);
+    co_await soc_.engine().sleep(kRestartLatency);
     if (injector_)
         injector_->revive(shadow.domainId());
     shadow.domain().irqCtrl().reset();
@@ -204,8 +203,8 @@ Watchdog::snapState(snap::Io &io)
     io.pod(restarts_);
     io.pod(pagesReclaimed_);
     io.pod(servicesReplayed_);
-    io.pod(detectUs_);
-    io.pod(downUs_);
+    detectUs_.snapState(io);
+    downUs_.snapState(io);
 }
 
 } // namespace os

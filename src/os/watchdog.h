@@ -8,7 +8,7 @@
  * retransmitted a few times without an ack, it raises suspicion here.
  * The watchdog then probes that replica with explicit heartbeats
  * (Control/Heartbeat, answered by the shadow's ISR with
- * Control/HeartbeatAck); after missThreshold consecutive silent
+ * Control/HeartbeatAck); after kMissThreshold consecutive silent
  * periods it declares the replica dead and recovers:
  *
  *  1. degrade: the ReplicaGroup elects a new leader among the
@@ -20,7 +20,7 @@
  *     (Dsm::reclaimFrom) to the leader, or to the main kernel if no
  *     replica is left, completing faults stranded waiting on grants
  *     from it;
- *  3. restart: after the configured restart latency, revive the
+ *  3. restart: after the modelled reboot latency, revive the
  *     domain, reset its interrupt controller, and replay the shadow
  *     kernel's recorded IRQ registrations (its device/service setup);
  *  4. resume: the group rejoins the replica and lifts degraded routing
@@ -64,13 +64,6 @@ class ReplicaGroup;
 class Watchdog
 {
   public:
-    struct Config
-    {
-        sim::Duration period = sim::msec(2);       //!< Probe interval.
-        std::uint32_t missThreshold = 3;           //!< Silent probes.
-        sim::Duration restartLatency = sim::msec(10); //!< Reboot time.
-    };
-
     /**
      * @param main The strong-domain kernel that runs the probes.
      * @param group The shadow replicas to watch (replica r = kernel
@@ -81,7 +74,7 @@ class Watchdog
      *               a restart.
      */
     Watchdog(soc::Soc &soc, kern::Kernel &main, ReplicaGroup &group,
-             IrqRouter &router, fault::FaultInjector *inj, Config cfg);
+             IrqRouter &router, fault::FaultInjector *inj);
 
     /**
      * Raise suspicion that replica @p replica's kernel is dead (the
@@ -115,6 +108,14 @@ class Watchdog
     void snapState(snap::Io &io);
 
   private:
+    /** Heartbeat probe interval. */
+    static constexpr sim::Duration kPeriod = sim::msec(2);
+    /** Consecutive silent probes that declare a replica dead. */
+    static constexpr std::uint32_t kMissThreshold = 3;
+    static_assert(kMissThreshold >= 1);
+    /** Modelled shadow-kernel reboot time. */
+    static constexpr sim::Duration kRestartLatency = sim::msec(10);
+
     sim::Task<void> probeLoop(std::size_t r);
     sim::Task<void> recover(std::size_t r);
 
@@ -123,7 +124,6 @@ class Watchdog
     ReplicaGroup &group_;
     IrqRouter &router_;
     fault::FaultInjector *injector_;
-    Config cfg_;
     sim::TrackId track_{};
     std::vector<std::uint8_t> probing_;
     std::vector<std::uint8_t> down_;

@@ -118,6 +118,22 @@ class QuantileSketch
     /** Exact state equality (merge property tests). */
     bool operator==(const QuantileSketch &) const = default;
 
+    /**
+     * Capture/restore (a snap::Io), field by field: the object has
+     * indeterminate padding before the 128-bit sum, so a whole-object
+     * copy would make two images of equal state differ.
+     */
+    template <typename Io>
+    void
+    snapState(Io &io)
+    {
+        io.pod(count_);
+        io.pod(sumFp_);
+        io.pod(min_);
+        io.pod(max_);
+        io.pod(buckets_);
+    }
+
   private:
     std::uint64_t count_ = 0;
     __int128 sumFp_ = 0;

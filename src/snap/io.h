@@ -111,6 +111,10 @@ class Io
     {
         static_assert(std::is_trivially_copyable_v<T>,
                       "pod() requires a trivially copyable type");
+        // A type with its own snapState streams itself: copying it
+        // whole could carry indeterminate padding bytes into the image.
+        static_assert(!requires(T &t, Io &io) { t.snapState(io); },
+                      "pod() of a type with snapState(); call that");
         bytes(&v, sizeof(T));
     }
 

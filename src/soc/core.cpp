@@ -44,17 +44,6 @@ Core::Core(sim::Engine &eng, EnergyMeter &meter, RailId rail,
     armInactiveTimer();
 }
 
-void
-Core::setOperatingPoint(std::size_t idx)
-{
-    if (idx >= spec_.points.size())
-        K2_FATAL("core %u: operating point %zu out of range", id_, idx);
-    const bool active_moved = state_ == PowerState::Active && idx != point_;
-    point_ = idx;
-    if (active_moved)
-        enterLevel(PowerState::Active);
-}
-
 sim::Duration
 Core::instrTime(std::uint64_t instructions) const
 {
@@ -233,7 +222,7 @@ void
 Core::snapState(snap::Io &io)
 {
     io.check(track_, "Core::track");
-    io.pod(point_);
+    io.check(point_, "Core::point");
     io.pod(state_);
     io.pod(busyCount_);
     io.pod(waking_);

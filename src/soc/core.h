@@ -67,10 +67,9 @@ class Core
     const CoreSpec &spec() const { return spec_; }
     /** @} */
 
-    /** @name Frequency control. @{ */
+    /** @name Operating point (the spec's defaultPoint, fixed at boot). @{ */
     std::uint64_t hz() const { return spec_.points[point_].hz; }
     std::size_t operatingPoint() const { return point_; }
-    void setOperatingPoint(std::size_t idx);
     /** @} */
 
     /** Time to execute @p instructions at the current point. */
@@ -198,7 +197,7 @@ class Core
     CoreId id_;
     DomainId domain_;
 
-    std::size_t point_;
+    const std::size_t point_;
     sim::TrackId track_; //!< Structured-span track for power states.
     PowerState state_ = PowerState::Idle;
     PowerClient power_;

@@ -190,11 +190,11 @@ consumeFlag(int &argc, char **argv, const char *flag,
 }
 
 unsigned
-parseJobsFlag(int &argc, char **argv, unsigned fallback)
+parseJobsFlag(int &argc, char **argv)
 {
     std::string value;
     if (!consumeFlag(argc, argv, "--jobs=", value))
-        return fallback;
+        return 0;
     char *end = nullptr;
     const unsigned long n = std::strtoul(value.c_str(), &end, 10);
     if (end == value.c_str() || *end != '\0' || n == 0 || n > 4096)

@@ -146,12 +146,11 @@ bool consumeFlag(int &argc, char **argv, const char *flag,
  *
  * @param argc In/out argument count; the flag is removed when found.
  * @param argv In/out argument vector.
- * @param fallback Returned when no flag is present: 0 selects
- *        hardware concurrency (the default for sweep binaries).
- * @return The requested job count.
+ * @return The requested job count, or 0 (hardware concurrency) when
+ *         no flag is present.
  * @throws sim::FatalError on a malformed value.
  */
-unsigned parseJobsFlag(int &argc, char **argv, unsigned fallback = 0);
+unsigned parseJobsFlag(int &argc, char **argv);
 
 /**
  * Parse and strip a `--faults=SPEC` flag from argv (last occurrence

@@ -13,11 +13,11 @@ sweepModeName(SweepMode mode)
 }
 
 SweepMode
-parseSweepFlag(int &argc, char **argv, SweepMode fallback)
+parseSweepFlag(int &argc, char **argv)
 {
     std::string value;
     if (!consumeFlag(argc, argv, "--sweep=", value))
-        return fallback;
+        return SweepMode::Warm;
     if (value == "cold")
         return SweepMode::Cold;
     if (value == "warm")

@@ -50,14 +50,10 @@ enum class SweepMode
 const char *sweepModeName(SweepMode mode);
 
 /**
- * Parse and strip a leading `--sweep=cold|warm` flag from argv.
- *
- * @param fallback Returned when the flag is absent. Sweep binaries
- *        default to Warm; pass Cold for tools where reproducing the
- *        historical boot-per-cell timing matters.
+ * Parse and strip a `--sweep=cold|warm` flag from argv; Warm when the
+ * flag is absent.
  */
-SweepMode parseSweepFlag(int &argc, char **argv,
-                         SweepMode fallback = SweepMode::Warm);
+SweepMode parseSweepFlag(int &argc, char **argv);
 
 /**
  * Provision a fixture for one sweep cell.

@@ -1,9 +1,9 @@
 /**
  * @file
  * Fault plane and recovery-protocol tests: plan parsing, injector
- * determinism, the zero-fault bit-identity guard, the ARQ / DSM-retry
- * / watchdog recovery units, crash recovery end to end, seeded fuzz
- * runs asserting data integrity under random fault plans, and sweep
+ * determinism, the zero-fault bit-identity guard, the ARQ and watchdog
+ * recovery units, crash recovery end to end, seeded fuzz runs
+ * asserting data integrity under random fault plans, and sweep
  * determinism of faulted cells across job counts.
  */
 
@@ -368,39 +368,6 @@ TEST(Recovery, DuplicateDeliverySuppressed)
     auto tb = crossKernelReadUnderFault(dup, data);
 
     EXPECT_GE(tb.k2()->reliableMail()->duplicatesDropped(), 1u);
-    EXPECT_EQ(tb.k2()->reliableMail()->giveups(), 0u);
-}
-
-TEST(Recovery, DsmRetriesLostGrant)
-{
-    os::K2Config cfg;
-    cfg.soc.costs.inactiveTimeout = 0;
-    // Slow the ARQ way down so the DSM's own fault-timeout retry is
-    // what recovers the lost GetExclusive.
-    cfg.recovery.mail.retry.timeout = sim::msec(20);
-    // Drop the first tracked mail after t=9ms: the quiet window before
-    // the main kernel's reads start pulling shadow-owned pages.
-    fault::FaultSpec drop;
-    drop.kind = fault::FaultKind::MailDrop;
-    drop.at = sim::msec(9);
-    cfg.faults.add(drop);
-    auto tb = wl::Testbed::makeK2(cfg);
-
-    const auto data = pattern(16384, 5);
-    auto &proc2 = tb.sys().createProcess("shadow-writer");
-    tb.k2()->shadowKernel().spawnThread(
-        &proc2, "writer", ThreadKind::Normal,
-        [&](Thread &t) -> Task<void> {
-            co_await writeFile(tb, t, "/retry", data);
-        });
-    tb.sys().spawnNormal(tb.proc(), "reader",
-                         [&](Thread &t) -> Task<void> {
-                             co_await t.sleep(sim::msec(10));
-                             co_await verifyFile(tb, t, "/retry", data);
-                         });
-    tb.engine().run();
-
-    EXPECT_GE(tb.k2()->dsm().retries(), 1u);
     EXPECT_EQ(tb.k2()->reliableMail()->giveups(), 0u);
 }
 

@@ -33,9 +33,9 @@ constexpr std::uint64_t kTopPage = coherence::kOpMaxPages - 1;
 
 /**
  * One DSM under one zoo protocol: with two kernels, the K2System's own
- * (main + shadow); with more, a standalone engine on the three-domain
- * SoC. Either DSM spans @p pages pages (by default every page the mail
- * encoding can name).
+ * (main + shadow), which spans every page the mail encoding can name;
+ * with more, a standalone engine on the three-domain SoC, spanning
+ * @p pages pages (by default the same span).
  */
 class Harness
 {
@@ -47,7 +47,6 @@ class Harness
             K2Config cfg;
             cfg.soc.costs.inactiveTimeout = 0;
             cfg.dsmProtocol = proto;
-            cfg.dsmPages = pages;
             sys_ = std::make_unique<K2System>(cfg);
             proc_ = &sys_->createProcess("app");
             kernels_ = sys_->kernels();

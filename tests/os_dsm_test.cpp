@@ -5,7 +5,8 @@
  * three-state (MSI) alternative, and the same engine across three
  * coherence domains (the §11 extension): ownership transfer among
  * three kernels, serialisation of concurrent faults, the grant-retry
- * backoff, crash reclaim mid-fault, and randomized property sweeps.
+ * backoff and lost-request recovery, crash reclaim mid-fault, and
+ * randomized property sweeps.
  */
 
 #include <gtest/gtest.h>
@@ -547,6 +548,33 @@ TEST(NDsmRecovery, ReclaimUnblocksPagesTheDeadKernelWasFaultingOn)
             EXPECT_EQ(d.dsm->isLocallyValid(k, 8, Access::Write),
                       k == 1);
         }
+        d.soc->attachFaultInjector(nullptr);
+    }
+}
+
+TEST(NDsmRecovery, RetriesLostGrant)
+{
+    // The first mail of a fault is lost and no ARQ runs underneath,
+    // so the DSM's grant-timeout retry is the only recovery path: the
+    // faulting kernel must re-ask and get the page.
+    for (const Dsm::Protocol proto : coherence::allProtocols()) {
+        SCOPED_TRACE(coherence::protocolName(proto));
+        Domains d(2, 64, proto);
+        d.touch(1, 8);
+        fault::FaultPlan plan;
+        fault::FaultSpec drop;
+        drop.kind = fault::FaultKind::MailDrop;
+        drop.at = d.eng.now();
+        plan.add(drop);
+        fault::FaultInjector inj(d.eng, plan);
+        d.soc->attachFaultInjector(&inj);
+        d.dsm->setRetryPolicy({sim::usec(500), sim::msec(4)});
+
+        d.touch(0, 8);
+        EXPECT_EQ(inj.injected(fault::FaultKind::MailDrop), 1u);
+        EXPECT_GE(d.dsm->retries(), 1u);
+        EXPECT_TRUE(d.dsm->isLocallyValid(0, 8, Access::Write));
+        EXPECT_FALSE(d.dsm->isLocallyValid(1, 8, Access::Read));
         d.soc->attachFaultInjector(nullptr);
     }
 }

@@ -141,15 +141,15 @@ TEST(ReliableMailBackoff, PinsExponentialSchedule)
 {
     os::K2Config cfg;
     cfg.soc.costs.inactiveTimeout = 0;
-    // Push the DSM's own fault-timeout resend far out so the ARQ's
-    // retransmit stream is the only tracked traffic in the window.
-    cfg.recovery.dsmRetry = {sim::msec(50), sim::msec(100)};
     fault::FaultSpec crash;
     crash.kind = fault::FaultKind::DomainCrash;
     crash.domain = soc::kWeakDomain;
     crash.at = sim::msec(9);
     cfg.faults.add(crash);
     auto tb = wl::Testbed::makeK2(cfg);
+    // Push the DSM's own fault-timeout resend far out so the ARQ's
+    // retransmit stream is the only tracked traffic in the window.
+    tb.k2()->dsm().setRetryPolicy({sim::msec(50), sim::msec(100)});
 
     const auto data = pattern(4096, 11);
     auto &proc2 = tb.sys().createProcess("shadow-writer");

@@ -16,16 +16,20 @@
  *  - the sync rule: restoring the image an instance last synced with
  *    rewrites only what it wrote since (buddy metadata chunks, disk
  *    blocks), restoring any other image rewrites everything, and both
- *    land on the image byte for byte.
+ *    land on the image byte for byte;
+ *  - equal state, equal image: no padding byte reaches the image.
  */
 
+#include <cstring>
 #include <functional>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "kern/buddy.h"
+#include "sim/sketch.h"
 #include "snap/snapshot.h"
 #include "svc/sdcard.h"
 #include "workloads/benchmarks.h"
@@ -123,6 +127,25 @@ TEST(SnapshotTest, RestoreRoundTripsOnBaseline)
     (void)ext2Episode(tb);
     boot.restore(tb);
     EXPECT_EQ(boot, snap::Snapshot::of(tb));
+}
+
+/** A sketch has padding before its 128-bit sum. Two sketches of equal
+ *  state, built over memory that held different bytes, must capture to
+ *  the same image. */
+TEST(SnapshotTest, SketchImageIgnoresPadding)
+{
+    std::vector<std::uint8_t> images[2];
+    for (int i = 0; i < 2; ++i) {
+        alignas(sim::QuantileSketch) unsigned char
+            mem[sizeof(sim::QuantileSketch)];
+        std::memset(mem, i == 0 ? 0x00 : 0xA5, sizeof mem);
+        auto *sketch = new (mem) sim::QuantileSketch;
+        sketch->sample(3.0);
+        sketch->sample(1500.0);
+        snap::Io io(images[i], 1);
+        sketch->snapState(io);
+    }
+    EXPECT_EQ(images[0], images[1]);
 }
 
 /** Fork-vs-cold byte identity over every fig6-style workload. */

@@ -282,14 +282,17 @@ TEST_F(CoreTest, OverlappingExecsKeepCoreActive)
 
 TEST_F(CoreTest, OperatingPointChangesSpeedAndPower)
 {
-    Core core(eng, meter, rail, cfg.domains[kStrongDomain].core, costs,
-              0, 0);
-    const auto slow = core.instrTime(1200000);
-    core.setOperatingPoint(cfg.domains[kStrongDomain].core.points.size() -
-                           1);
+    // The strong core booted at its default (slowest) point, on a rail
+    // of its own, and at its fastest point on the measured rail.
+    CoreSpec fastest = cfg.domains[kStrongDomain].core;
+    fastest.defaultPoint = fastest.points.size() - 1;
+    Core slow(eng, meter, meter.addRail("slow"),
+              cfg.domains[kStrongDomain].core, costs, 1, 0);
+    Core core(eng, meter, rail, fastest, costs, 0, 0);
     EXPECT_EQ(core.hz(), 1200000000ull);
-    const auto fast = core.instrTime(1200000);
-    EXPECT_NEAR(static_cast<double>(slow) / fast, 1200.0 / 350.0, 0.01);
+    EXPECT_NEAR(static_cast<double>(slow.instrTime(1200000)) /
+                    core.instrTime(1200000),
+                1200.0 / 350.0, 0.01);
 
     eng.spawn([](Core &core) -> Task<void> {
         co_await core.exec(1200000); // 1 ms at 1.2 GHz
@@ -300,9 +303,8 @@ TEST_F(CoreTest, OperatingPointChangesSpeedAndPower)
 
 TEST_F(CoreTest, InvalidOperatingPointIsFatal)
 {
-    Core core(eng, meter, rail, cfg.domains[kStrongDomain].core, costs,
-              0, 0);
-    EXPECT_THROW(core.setOperatingPoint(99), sim::FatalError);
+    cfg.domains[kStrongDomain].core.defaultPoint = 99;
+    EXPECT_THROW(cfg.validate(), sim::FatalError);
 }
 
 TEST_F(CoreTest, RailCounterSamplesOnlyWhenTotalChanges)

@@ -204,7 +204,7 @@ TEST(ParseJobsFlag, FallbackWhenAbsent)
     std::vector<std::string> storage = {"bench"};
     std::vector<char *> argv = {storage[0].data()};
     int argc = 1;
-    EXPECT_EQ(wl::parseJobsFlag(argc, argv.data(), 3), 3u);
+    EXPECT_EQ(wl::parseJobsFlag(argc, argv.data()), 0u);
     EXPECT_EQ(argc, 1);
 }
 
