@@ -14,6 +14,7 @@
 
 #include <cstdio>
 
+#include "sim/sketch.h"
 #include "workloads/benchmarks.h"
 #include "workloads/report.h"
 #include "workloads/testbed.h"
@@ -39,7 +40,7 @@ foregroundLatency(wl::Testbed &tb, bool background)
     constexpr int kBursts = 40;
     constexpr std::uint64_t kBurstInstr = 3500000; // 10 ms at 350 MHz
 
-    sim::Accumulator lat;
+    sim::QuantileSketch lat;
     if (background) {
         tb.sys().spawnNightWatch(
             tb.proc(), "bg-sync", [&tb](Thread &t) -> Task<void> {

@@ -22,8 +22,6 @@ kindName(MetricValue::Kind k)
         return "counter";
       case MetricValue::Kind::Gauge:
         return "gauge";
-      case MetricValue::Kind::Accumulator:
-        return "accumulator";
       case MetricValue::Kind::Histogram:
         return "histogram";
     }
@@ -81,7 +79,6 @@ MetricsSnapshot::writeJson(std::ostream &os) const
             jsonNumber(os, v.value);
             break;
           case MetricValue::Kind::Histogram:
-          case MetricValue::Kind::Accumulator:
             os << ", \"count\": " << v.count << ", \"sum\": ";
             jsonNumber(os, v.sum);
             os << ", \"mean\": ";
@@ -90,12 +87,10 @@ MetricsSnapshot::writeJson(std::ostream &os) const
             jsonNumber(os, v.min);
             os << ", \"max\": ";
             jsonNumber(os, v.max);
-            if (v.kind == MetricValue::Kind::Histogram) {
-                os << ", \"p50\": ";
-                jsonNumber(os, v.p50);
-                os << ", \"p99\": ";
-                jsonNumber(os, v.p99);
-            }
+            os << ", \"p50\": ";
+            jsonNumber(os, v.p50);
+            os << ", \"p99\": ";
+            jsonNumber(os, v.p99);
             break;
         }
         os << "}";
@@ -138,16 +133,6 @@ MetricsRegistry::addCounter(const std::string &name, const sim::Counter &c)
 }
 
 void
-MetricsRegistry::addAccumulator(const std::string &name,
-                                const sim::Accumulator &a)
-{
-    Entry e;
-    e.kind = MetricValue::Kind::Accumulator;
-    e.acc = &a;
-    insert(name, std::move(e));
-}
-
-void
 MetricsRegistry::addHistogram(const std::string &name,
                               const sim::QuantileSketch &h)
 {
@@ -181,12 +166,6 @@ MetricsRegistry::snapshot() const
           case MetricValue::Kind::Gauge:
             v.value = e.gauge();
             break;
-          case MetricValue::Kind::Accumulator:
-            v.count = e.acc->count();
-            v.sum = e.acc->sum();
-            v.min = e.acc->min();
-            v.max = e.acc->max();
-            break;
           case MetricValue::Kind::Histogram:
             v.count = e.hist->count();
             v.sum = e.hist->sum();
@@ -218,7 +197,6 @@ MetricsRegistry::diff(const MetricsSnapshot &before,
                 v.value = a.value - b->value;
                 break;
               case MetricValue::Kind::Histogram:
-              case MetricValue::Kind::Accumulator:
                 v.count = a.count - b->count;
                 v.sum = a.sum - b->sum;
                 // Interval extrema/percentiles are unknowable from

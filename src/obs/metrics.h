@@ -1,13 +1,14 @@
 /**
  * @file
  * The metrics registry: one queryable namespace over every counter,
- * accumulator, and latency distribution in the system.
+ * gauge, and distribution in the system.
  *
  * The paper's evaluation is a set of energy/latency breakdowns sampled
  * off power rails and instrumented code paths; our reproduction keeps
- * the equivalent numbers in sim::Counter/Accumulator/QuantileSketch
- * members scattered across subsystems (a sketch registers as a
- * "histogram" metric: its accumulator fields plus p50/p99). A
+ * the equivalent numbers in sim::Counter and sim::QuantileSketch
+ * members scattered across subsystems (a sketch, the one distribution
+ * type, registers as a "histogram" metric: count/sum/mean/min/max plus
+ * p50/p99). A
  * MetricsRegistry gives them one hierarchical namespace
  * ("os.dsm.shadow.faults") that can be snapshotted at any simulated
  * instant, diffed across an episode, and serialised as deterministic
@@ -44,10 +45,9 @@ struct MetricValue
 {
     enum class Kind : std::uint8_t
     {
-        Counter,     //!< Monotonic count.
-        Gauge,       //!< Point-in-time scalar.
-        Accumulator, //!< count/sum/min/max of samples.
-        Histogram,   //!< A QuantileSketch: accumulator plus percentiles.
+        Counter,   //!< Monotonic count.
+        Gauge,     //!< Point-in-time scalar.
+        Histogram, //!< A QuantileSketch: count/sum/min/max, p50/p99.
     };
 
     Kind kind = Kind::Counter;
@@ -82,7 +82,7 @@ class MetricsSnapshot
 
     /**
      * Serialise as a JSON object keyed by metric name. NaN fields
-     * (e.g. min/max of an empty accumulator) render as null, keeping
+     * (e.g. min/max of an empty histogram) render as null, keeping
      * the output standard JSON. Deterministic: same snapshot bits,
      * same bytes.
      */
@@ -101,8 +101,6 @@ class MetricsRegistry
 
     /** @name Registration (cold path, at system assembly). @{ */
     void addCounter(const std::string &name, const sim::Counter &c);
-    void addAccumulator(const std::string &name,
-                        const sim::Accumulator &a);
     void addHistogram(const std::string &name,
                       const sim::QuantileSketch &h);
     void addGauge(const std::string &name, Gauge fn);
@@ -128,7 +126,6 @@ class MetricsRegistry
     {
         MetricValue::Kind kind;
         const sim::Counter *counter = nullptr;
-        const sim::Accumulator *acc = nullptr;
         const sim::QuantileSketch *hist = nullptr;
         Gauge gauge;
     };

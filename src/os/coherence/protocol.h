@@ -34,6 +34,7 @@
 #include <string>
 
 #include "sim/log.h"
+#include "sim/sketch.h"
 #include "sim/stats.h"
 #include "sim/time.h"
 #include "os/messages.h"
@@ -85,12 +86,12 @@ bool readSharing(ProtocolKind kind);
 struct FaultStats
 {
     sim::Counter faults;
-    sim::Accumulator localFaultUs;
-    sim::Accumulator protocolUs;
-    sim::Accumulator commUs;
-    sim::Accumulator serviceUs;
-    sim::Accumulator exitUs;
-    sim::Accumulator totalUs;
+    sim::QuantileSketch localFaultUs;
+    sim::QuantileSketch protocolUs;
+    sim::QuantileSketch commUs;
+    sim::QuantileSketch serviceUs;
+    sim::QuantileSketch exitUs;
+    sim::QuantileSketch totalUs;
 };
 
 /**

@@ -365,8 +365,7 @@ K2System::registerMetrics(obs::MetricsRegistry &reg)
     reg.addCounter("os.nightwatch.suspends", nightWatch_->suspendsSent);
     reg.addCounter("os.nightwatch.resumes", nightWatch_->resumesSent);
     reg.addCounter("os.nightwatch.acks", nightWatch_->acksReceived);
-    reg.addAccumulator("os.nightwatch.ack_wait_us",
-                       nightWatch_->ackWaitUs);
+    reg.addHistogram("os.nightwatch.ack_wait_us", nightWatch_->ackWaitUs);
 
     reg.addCounter("os.meta.pressure_events", meta_->pressureEvents);
     reg.addCounter("os.meta.peer_requests", meta_->peerRequests);

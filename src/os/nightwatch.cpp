@@ -178,7 +178,7 @@ NightWatch::snapState(snap::Io &io)
     io.pod(suspendsSent);
     io.pod(resumesSent);
     io.pod(acksReceived);
-    io.pod(ackWaitUs);
+    ackWaitUs.snapState(io);
 
     // Per-process entries appear on demand (first spawn or first hook
     // firing) and are never erased.

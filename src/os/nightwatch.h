@@ -28,6 +28,7 @@
 #include <map>
 #include <memory>
 
+#include "sim/sketch.h"
 #include "sim/stats.h"
 #include "sim/sync.h"
 #include "sim/task.h"
@@ -63,7 +64,7 @@ class NightWatch
     sim::Counter acksReceived;
     /** Extra main-kernel time per context switch waiting for the ack,
      *  in microseconds (paper: 1-2 us). */
-    sim::Accumulator ackWaitUs;
+    sim::QuantileSketch ackWaitUs;
     /** @} */
 
     /** True if @p pid's NightWatch threads are currently gated. */

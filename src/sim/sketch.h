@@ -1,17 +1,20 @@
 /**
  * @file
- * Mergeable streaming quantile sketch for fleet-scale aggregation.
+ * Mergeable streaming quantile sketch: the simulator's one
+ * distribution type.
  *
  * A QuantileSketch summarises an unbounded sample stream in O(1)
  * memory: count, fixed-point sum, exact min/max, and 64 log2 buckets.
- * It is the simulator's one distribution type: the latency histograms
- * that components register as metrics (ack RTTs, failure detection,
- * elections, re-syncs) and the fleet's streaming reducer both use it.
- * Every field merges with an operation that is exactly associative
- * AND commutative on the host:
+ * Every sampled value in the system is one: the DSM's Table 5 fault
+ * phases, the DMA transfer time, the NightWatch ack wait, the balloon
+ * timings, the recovery latencies (ack RTTs, failure detection,
+ * elections, re-syncs) that components register as "histogram"
+ * metrics, and the fleet's streaming reducer. Every field merges with
+ * an operation that is exactly associative AND commutative on the
+ * host:
  *
  *  - count and buckets are integers (modular addition is exact);
- *  - the sum is kept in 2^-20 fixed point (each sample is rounded
+ *  - the sum is kept in 10^-6 fixed point (each sample is rounded
  *    once at sample() time, then summed in a 128-bit integer, so no
  *    floating-point rounding depends on merge order);
  *  - min/max use IEEE min/max, associative and commutative for the
@@ -68,10 +71,12 @@ class QuantileSketch
                                      kBuckets - 1);
     }
 
-    /** Fixed-point scale for the sum: 2^20 sub-unit steps. Samples
-     *  are exact to ~1e-6; representable magnitude ~8.8e12 per
+    /** Fixed-point scale for the sum: 10^6 sub-unit steps, so a
+     *  microsecond sample made from integer picoseconds
+     *  (sim::toUsec) is summed exactly to the picosecond. Samples
+     *  are exact to 5e-7; representable magnitude ~9.2e12 per
      *  sample, far beyond any simulated energy/latency value. */
-    static constexpr double kSumScale = 1048576.0;
+    static constexpr double kSumScale = 1e6;
 
     void sample(double v);
 
@@ -95,7 +100,7 @@ class QuantileSketch
     double sum() const { return static_cast<double>(sumFp_) / kSumScale; }
     double mean() const { return count_ ? sum() / count_ : 0.0; }
 
-    /** NaN when empty, like Accumulator. @{ */
+    /** NaN when empty (there is no sample to report). @{ */
     double min() const;
     double max() const;
     /** @} */

@@ -183,7 +183,7 @@ DmaDriver::registerMetrics(obs::MetricsRegistry &reg,
     reg.addCounter(prefix + ".transfers", transfers);
     reg.addCounter(prefix + ".bytes", bytesMoved);
     reg.addCounter(prefix + ".irqs_handled", irqsHandled);
-    reg.addAccumulator(prefix + ".transfer_us", transferUs);
+    reg.addHistogram(prefix + ".transfer_us", transferUs);
     // Recovery counters exist only when armed, keeping the zero-fault
     // metric key set unchanged.
     if (recovery_) {
@@ -207,7 +207,7 @@ DmaDriver::snapState(snap::Io &io)
     io.pod(transfers);
     io.pod(bytesMoved);
     io.pod(irqsHandled);
-    io.pod(transferUs);
+    transferUs.snapState(io);
     io.pod(transferErrors);
     io.pod(irqPolls);
 }

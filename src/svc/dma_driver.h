@@ -24,6 +24,7 @@
 #include <memory>
 #include <vector>
 
+#include "sim/sketch.h"
 #include "sim/stats.h"
 #include "sim/sync.h"
 #include "sim/task.h"
@@ -75,7 +76,7 @@ class DmaDriver
     sim::Counter transfers;
     sim::Counter bytesMoved;
     sim::Counter irqsHandled;
-    sim::Accumulator transferUs;
+    sim::QuantileSketch transferUs;
     sim::Counter transferErrors; //!< Errored transfers re-programmed.
     sim::Counter irqPolls;       //!< Timeout polls for lost IRQs.
 

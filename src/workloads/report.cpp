@@ -91,7 +91,7 @@ banner(const std::string &title)
 
 namespace {
 
-/** Mean of an accumulator-kind metric, or NaN when it has no samples. */
+/** Mean of a histogram metric, or NaN when it has no samples. */
 double
 metricMean(const obs::MetricsSnapshot &d, const std::string &name)
 {

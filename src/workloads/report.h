@@ -39,7 +39,7 @@ class Table
     std::vector<std::vector<std::string>> rows_;
 };
 
-/** Format helpers. NaN (an empty accumulator's min/max, or a diffed
+/** Format helpers. NaN (an empty histogram's min/max, or a diffed
  *  interval's percentiles) renders as "-". @{ */
 std::string fmt(double v, int decimals = 1);
 std::string fmtBytes(std::uint64_t bytes);
