@@ -552,6 +552,44 @@ TEST(NDsmRecovery, ReclaimUnblocksPagesTheDeadKernelWasFaultingOn)
     }
 }
 
+TEST(NDsmRecovery, ReclaimCompletedFaultRecordsNoService)
+{
+    // Kernel 0 services kernel 1's fault, then kernel 1 crashes and
+    // kernel 0's own fault on the page is completed by the reclaim:
+    // nobody serviced it, so its Table 5 breakdown is no service time
+    // and the whole wait as communication -- not kernel 1's earlier,
+    // unrelated service.
+    for (const Dsm::Protocol proto : coherence::allProtocols()) {
+        SCOPED_TRACE(coherence::protocolName(proto));
+        Domains d(2, 64, proto);
+        d.touch(1, 8);
+        fault::FaultPlan plan;
+        fault::FaultSpec crash;
+        crash.kind = fault::FaultKind::DomainCrash;
+        crash.domain = 1;
+        crash.at = d.eng.now();
+        plan.add(crash);
+        fault::FaultInjector inj(d.eng, plan);
+        d.soc->attachFaultInjector(&inj);
+
+        d.spawnWrite(0, 8);
+        d.eng.run(d.eng.now() + sim::msec(1));
+        ASSERT_FALSE(d.dsm->isLocallyValid(0, 8, Access::Write));
+        d.dsm->reclaimFrom(1, 0);
+        d.eng.run(d.eng.now() + sim::msec(1));
+        ASSERT_TRUE(d.dsm->isLocallyValid(0, 8, Access::Write));
+
+        const Dsm::FaultStats &st = d.dsm->faultStats(0);
+        ASSERT_EQ(st.faults.value(), 1u);
+        EXPECT_EQ(st.serviceUs.sum(), 0.0);
+        const double wait = st.totalUs.sum() - st.localFaultUs.sum() -
+                            st.protocolUs.sum() - st.exitUs.sum();
+        EXPECT_GT(wait, 500.0); // Most of the millisecond to the reclaim.
+        EXPECT_NEAR(st.commUs.sum(), wait, 1e-6);
+        d.soc->attachFaultInjector(nullptr);
+    }
+}
+
 TEST(NDsmRecovery, RetriesLostGrant)
 {
     // The first mail of a fault is lost and no ARQ runs underneath,
