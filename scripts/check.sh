@@ -144,15 +144,38 @@ if [ "$MODE" != "--asan" ]; then
 fi
 
 # Observability smoke: one short testbed run must emit a metrics
-# snapshot and a Chrome trace that both parse as JSON.
+# snapshot and a Chrome trace that both parse as JSON. Every metric
+# is a counter, a gauge or a histogram (a sim::QuantileSketch, the one
+# distribution type), and every non-empty histogram is consistent:
+# min <= p50 <= p99 <= max, and count * mean equals sum. JSON numbers
+# carry 9 significant digits ("%.9g"), so mean and sum are each off by
+# up to 5e-9 relative: the sum check allows 1e-8, which exact values
+# always meet. The fault and replication smokes below check their
+# snapshots the same way.
 OBS_DIR="$BUILD_DIR/obs-smoke"
 mkdir -p "$OBS_DIR"
+check_metrics() {
+    python3 - "$1" <<'EOF'
+import json, sys
+m = json.load(open(sys.argv[1]))
+for k, v in m.items():
+    assert v["kind"] in ("counter", "gauge", "histogram"), \
+        f"{k}: unknown metric kind {v['kind']}"
+    if v["kind"] != "histogram" or v["count"] == 0:
+        continue
+    assert v["min"] <= v["p50"] <= v["p99"] <= v["max"], \
+        f"{k}: quantiles out of order: {v}"
+    assert abs(v["count"] * v["mean"] - v["sum"]) <= 1e-8 * abs(v["sum"]), \
+        f"{k}: count * mean != sum: {v}"
+EOF
+}
 "$BUILD_DIR"/src/workloads/testbed --episodes=3 \
     --metrics="$OBS_DIR/metrics.json" --trace="$OBS_DIR/trace.json" \
     >/dev/null
 python3 -m json.tool "$OBS_DIR/metrics.json" >/dev/null
 python3 -m json.tool "$OBS_DIR/trace.json" >/dev/null
-echo "observability smoke: metrics + trace JSON OK"
+check_metrics "$OBS_DIR/metrics.json"
+echo "observability smoke: metrics + trace JSON OK, histograms consistent"
 
 # Fault-injection smoke: the same scenario under a lossy mailbox must
 # still complete, with the ARQ shim actually recovering dropped mail
@@ -161,6 +184,7 @@ echo "observability smoke: metrics + trace JSON OK"
 "$BUILD_DIR"/src/workloads/testbed --episodes=6 \
     --faults="mailbox.drop:p=0.2,mailbox.dup:p=0.1" \
     --metrics="$OBS_DIR/metrics_faults.json" >/dev/null
+check_metrics "$OBS_DIR/metrics_faults.json"
 python3 - "$OBS_DIR/metrics_faults.json" <<'EOF'
 import json, sys
 m = json.load(open(sys.argv[1]))
@@ -188,6 +212,7 @@ echo "fault smoke: injection + ARQ recovery + disarmed guard OK"
 "$BUILD_DIR"/src/workloads/testbed --system=k2 --episodes=6 \
     --replicas=3 --faults="domain.crash:at=5ms:dom=1:len=2ms" \
     --metrics="$OBS_DIR/metrics_replica.json" >/dev/null
+check_metrics "$OBS_DIR/metrics_replica.json"
 python3 - "$OBS_DIR/metrics_replica.json" <<'EOF'
 import json, sys
 m = json.load(open(sys.argv[1]))

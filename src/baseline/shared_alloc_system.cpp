@@ -55,9 +55,7 @@ SharedAllocSystem::allocPages(kern::Thread &t, unsigned order,
     if (!res)
         co_return kern::PageRange{};
     co_await touchAllocatorState(t, order, res->range.first);
-    const double factor = t.core().spec().kernelCostFactor;
-    co_await t.exec(static_cast<std::uint64_t>(
-        static_cast<double>(res->work) * factor + 0.5));
+    co_await t.kernel().chargeKernelWork(t, res->work);
     co_return res->range;
 }
 
@@ -65,11 +63,8 @@ sim::Task<void>
 SharedAllocSystem::freePages(kern::Thread &t, kern::PageRange range)
 {
     co_await touchAllocatorState(t, 0, range.first);
-    const std::uint64_t work =
-        mainKernel().pageAllocator().free(range.first);
-    const double factor = t.core().spec().kernelCostFactor;
-    co_await t.exec(static_cast<std::uint64_t>(
-        static_cast<double>(work) * factor + 0.5));
+    co_await t.kernel().chargeKernelWork(
+        t, mainKernel().pageAllocator().free(range.first));
 }
 
 } // namespace baseline

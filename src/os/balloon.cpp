@@ -5,14 +5,6 @@
 namespace k2 {
 namespace os {
 
-BalloonDriver::BalloonDriver(kern::Kernel &kernel)
-    : BalloonDriver(kernel, CostModel{})
-{}
-
-BalloonDriver::BalloonDriver(kern::Kernel &kernel, CostModel costs)
-    : kernel_(kernel), costs_(costs)
-{}
-
 sim::Task<void>
 BalloonDriver::deflate(kern::Thread &t, kern::PageRange block)
 {
@@ -20,8 +12,8 @@ BalloonDriver::deflate(kern::Thread &t, kern::PageRange block)
     const sim::Time start = kernel_.engine().now();
 
     const std::uint64_t work = kernel_.pageAllocator().addFreeRange(block) +
-                               costs_.workPerPageDeflate * block.count;
-    co_await t.execTime(costs_.platformPerPageDeflate * block.count);
+                               kWorkPerPageDeflate * block.count;
+    co_await t.execTime(kPlatformPerPageDeflate * block.count);
     co_await kernel_.chargeKernelWork(t, work);
 
     deflates.inc();
@@ -40,10 +32,10 @@ BalloonDriver::inflate(kern::Thread &t, kern::PageRange block)
         co_return false;
     }
 
-    co_await t.execTime(costs_.platformPerPageInflate * block.count +
-                        costs_.perMigratedPage * res.migrated);
+    co_await t.execTime(kPlatformPerPageInflate * block.count +
+                        kPerMigratedPage * res.migrated);
     co_await kernel_.chargeKernelWork(
-        t, res.work + costs_.workPerPageInflate * block.count);
+        t, res.work + kWorkPerPageInflate * block.count);
 
     inflates.inc();
     migratedPages.sample(static_cast<double>(res.migrated));

@@ -68,9 +68,6 @@ Engine::destroyPayload(Record &r)
       case Record::Kind::Inline:
         r.manager(CbOp::Destroy, r.payload.buf, nullptr);
         break;
-      case Record::Kind::Heap:
-        r.manager(CbOp::Destroy, r.payload.heap, nullptr);
-        break;
       case Record::Kind::Free:
         break;
     }
@@ -198,14 +195,6 @@ Engine::dispatch(std::uint32_t slot, Record &r)
         freeSlot(slot, r);
         PayloadGuard guard{mgr, tmp};
         mgr(CbOp::Invoke, tmp, nullptr);
-        break;
-      }
-      case Record::Kind::Heap: {
-        void *obj = r.payload.heap;
-        const Manager mgr = r.manager;
-        freeSlot(slot, r);
-        PayloadGuard guard{mgr, obj};
-        mgr(CbOp::Invoke, obj, nullptr);
         break;
       }
       case Record::Kind::Free:

@@ -16,10 +16,9 @@
  *    that already fired) are detected and ignored even after the slot
  *    has been reused.
  *  - The payload is tagged, not type-erased through std::function: a
- *    raw coroutine handle (used by sleep()/resumeLater()/spawn()), an
- *    inline small-buffer callable for typical device-model lambdas
- *    (up to kInlineCapture bytes of capture, no heap), or an
- *    out-of-line fallback for large captures.
+ *    raw coroutine handle (used by sleep()/resumeLater()/spawn()) or
+ *    an inline small-buffer callable (up to kInlineCapture bytes of
+ *    capture, no heap). A larger capture does not compile.
  *  - Pending events sit in an engine-owned 4-ary min-heap of small POD
  *    entries; pop-min moves entries in place (no copy-out of a
  *    type-erased callback) and cancelled entries are dropped as soon
@@ -83,7 +82,8 @@ class EventId
 class Engine
 {
   public:
-    /** Callable captures up to this size are stored inline (no heap). */
+    /** Callable captures up to this size are stored inline (no heap);
+     *  a larger one is a compile error (see place()). */
     static constexpr std::size_t kInlineCapture = 4 * sizeof(void *);
 
     Engine() = default;
@@ -97,9 +97,8 @@ class Engine
     /**
      * Schedule a callback at an absolute simulated time.
      *
-     * Small callables (<= kInlineCapture bytes of capture) are stored
-     * inline in the event pool; larger ones fall back to one heap
-     * allocation.
+     * The callable is stored inline in the event pool: its capture
+     * must fit kInlineCapture bytes and be nothrow-movable.
      *
      * @param when Absolute time; must be >= now().
      * @param fn Callback to run.
@@ -279,7 +278,7 @@ class Engine
     enum class CbOp
     {
         Invoke,   //!< Call the callable.
-        Destroy,  //!< Destroy (and, for heap payloads, free) it.
+        Destroy,  //!< Destroy it.
         Relocate, //!< Move-construct into @p dst, destroy the source.
     };
 
@@ -294,17 +293,15 @@ class Engine
             Free,   //!< On the free list.
             Coro,   //!< payload.coro: raw coroutine handle.
             Inline, //!< payload.buf: callable stored in place.
-            Heap,   //!< payload.heap: pointer to heap callable.
         };
 
         union Payload
         {
             std::coroutine_handle<> coro;
-            void *heap;
             alignas(std::max_align_t) unsigned char buf[kInlineCapture];
 
             Payload()
-                : heap(nullptr)
+                : coro(nullptr)
             {}
         };
 
@@ -358,23 +355,6 @@ class Engine
         }
     }
 
-    template <typename Fn>
-    static void
-    heapManager(CbOp op, void *obj, void *)
-    {
-        Fn *f = static_cast<Fn *>(obj);
-        switch (op) {
-          case CbOp::Invoke:
-            (*f)();
-            break;
-          case CbOp::Destroy:
-            delete f;
-            break;
-          case CbOp::Relocate:
-            break; // heap payloads move by pointer; nothing to do
-        }
-    }
-
     /** Pop a record slot off the free list (growing the pool by one
      *  slab if needed) and push its heap entry at (@p when, @p seq). */
     Slot allocSlot(Time when, std::uint64_t seq);
@@ -382,31 +362,27 @@ class Engine
     /** allocSlot() at the next sequence number. */
     Slot allocSlot(Time when);
 
-    /**
-     * Store @p fn as the payload of the just-queued slot @p s: inline
-     * when it fits, else in one heap allocation.
-     */
+    /** Store @p fn inline as the payload of the just-queued slot
+     *  @p s. */
     template <typename F>
     EventId
     place(Slot s, F &&fn)
     {
         using Fn = std::decay_t<F>;
+        static_assert(sizeof(Fn) <= kInlineCapture &&
+                          alignof(Fn) <= alignof(std::max_align_t),
+                      "event capture must fit Engine::kInlineCapture");
+        static_assert(std::is_nothrow_move_constructible_v<Fn>,
+                      "event capture must be nothrow-movable (dispatch "
+                      "relocates it out of the pool)");
         try {
-            if constexpr (sizeof(Fn) <= kInlineCapture &&
-                          alignof(Fn) <= alignof(std::max_align_t) &&
-                          std::is_nothrow_move_constructible_v<Fn>) {
-                ::new (static_cast<void *>(s.rec->payload.buf))
-                    Fn(std::forward<F>(fn));
-                s.rec->kind = Record::Kind::Inline;
-                s.rec->manager = &inlineManager<Fn>;
-            } else {
-                s.rec->payload.heap = new Fn(std::forward<F>(fn));
-                s.rec->kind = Record::Kind::Heap;
-                s.rec->manager = &heapManager<Fn>;
-            }
+            ::new (static_cast<void *>(s.rec->payload.buf))
+                Fn(std::forward<F>(fn));
+            s.rec->kind = Record::Kind::Inline;
+            s.rec->manager = &inlineManager<Fn>;
         } catch (...) {
-            // The capture's copy/move or the heap allocation threw;
-            // unschedule the already-queued record.
+            // Copying the capture threw; unschedule the already-queued
+            // record.
             ++staleEntries_;
             freeSlot(s.slot, *s.rec);
             throw;
