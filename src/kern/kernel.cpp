@@ -135,12 +135,18 @@ Kernel::kernelWorkTime(const soc::Core &core, std::uint64_t work) const
     return sim::cyclesToTime(cycles ? cycles : 1, core.hz());
 }
 
+std::uint64_t
+Kernel::kernelInstructions(const soc::Core &core, std::uint64_t work)
+{
+    const double instr =
+        static_cast<double>(work) * core.spec().kernelCostFactor;
+    return static_cast<std::uint64_t>(instr + 0.5);
+}
+
 sim::Task<void>
 Kernel::chargeKernelWork(Thread &t, std::uint64_t work)
 {
-    const double instr =
-        static_cast<double>(work) * t.core().spec().kernelCostFactor;
-    co_await t.exec(static_cast<std::uint64_t>(instr + 0.5));
+    co_await t.exec(kernelInstructions(t.core(), work));
 }
 
 sim::Task<PageRange>

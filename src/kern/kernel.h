@@ -114,6 +114,11 @@ class Kernel
     sim::Duration kernelWorkTime(const soc::Core &core,
                                  std::uint64_t work) const;
 
+    /** Instructions @p core runs for @p work units of kernel
+     *  bookkeeping (applies the core's kernelCostFactor, rounded). */
+    static std::uint64_t kernelInstructions(const soc::Core &core,
+                                            std::uint64_t work);
+
     /** Charge @p work units of kernel bookkeeping to @p t's core. */
     sim::Task<void> chargeKernelWork(Thread &t, std::uint64_t work);
 

@@ -484,9 +484,7 @@ K2System::dispatchMail(KernelIdx to, soc::Mail mail, soc::Core &core)
         kern::Kernel &kern = kernelByIdx(to);
         const std::uint64_t work =
             kern.pageAllocator().free(msg.payload);
-        const double factor = core.spec().kernelCostFactor;
-        co_await core.exec(static_cast<std::uint64_t>(
-            static_cast<double>(work) * factor + 0.5));
+        co_await core.exec(kern::Kernel::kernelInstructions(core, work));
         co_return;
       }
     }
