@@ -1,57 +1,29 @@
 #include "os/coherence/directory.h"
 
-#include "snap/io.h"
-
 namespace k2 {
 namespace os {
 namespace coherence {
 
-Directory::Directory(ProtocolKind kind, std::size_t num_kernels,
-                     std::uint64_t num_pages)
-    : kind_(kind), n_(num_kernels), numPages_(num_pages)
+Directory::Directory(ProtocolKind kind, std::size_t num_kernels)
+    : kind_(kind), n_(num_kernels)
 {
     K2_ASSERT(kind != ProtocolKind::Rac);
-    K2_ASSERT(n_ >= 2 && n_ <= 32);
+    K2_ASSERT(n_ >= 2 && n_ <= kMaxKernels);
 }
 
-Copy
-Directory::born(std::size_t k) const
+Copies
+Directory::born() const
 {
-    if (k != 0)
-        return Copy::I;
     const bool clean_exclusive =
         kind_ == ProtocolKind::Mesi || kind_ == ProtocolKind::Moesi;
-    return clean_exclusive ? Copy::E : Copy::M;
-}
-
-Directory::Entry &
-Directory::entry(std::uint64_t page)
-{
-    K2_ASSERT(page < numPages_);
-    auto it = entries_.find(page);
-    if (it == entries_.end()) {
-        Entry e(n_);
-        for (std::size_t k = 0; k < n_; ++k)
-            e[k] = born(k);
-        it = entries_.emplace(page, std::move(e)).first;
-    }
-    return it->second;
-}
-
-Copy
-Directory::state(std::size_t k, std::uint64_t page) const
-{
-    auto it = entries_.find(page);
-    return it == entries_.end() ? born(k) : it->second[k];
+    Copies e{}; // All I.
+    e[0] = clean_exclusive ? Copy::E : Copy::M;
+    return e;
 }
 
 std::size_t
-Directory::ownerOf(std::uint64_t page) const
+Directory::ownerOf(const Copies &e) const
 {
-    auto it = entries_.find(page);
-    if (it == entries_.end())
-        return 0;
-    const Entry &e = it->second;
     for (std::size_t k = 0; k < n_; ++k) {
         if (e[k] == Copy::M || e[k] == Copy::E || e[k] == Copy::O)
             return k;
@@ -64,7 +36,7 @@ Directory::ownerOf(std::uint64_t page) const
 }
 
 std::uint32_t
-Directory::targets(const Entry &e, std::size_t k, bool exclusive) const
+Directory::targets(const Copies &e, std::size_t k, bool exclusive) const
 {
     std::uint32_t holders = 0;
     for (std::size_t j = 0; j < n_; ++j) {
@@ -85,7 +57,7 @@ Directory::targets(const Entry &e, std::size_t k, bool exclusive) const
 }
 
 RepOp
-Directory::downgrade(Entry &e, std::size_t t) const
+Directory::downgrade(Copies &e, std::size_t t) const
 {
     const Copy s = e[t];
     if (s == Copy::M)
@@ -98,7 +70,7 @@ Directory::downgrade(Entry &e, std::size_t t) const
 }
 
 bool
-Directory::reclaim(Entry &e, std::size_t dead, std::size_t to,
+Directory::reclaim(Copies &e, std::size_t dead, std::size_t to,
                    bool elsewhere) const
 {
     if (elsewhere) {
@@ -116,16 +88,6 @@ Directory::reclaim(Entry &e, std::size_t dead, std::size_t to,
     e[to] = ns;
     e[dead] = Copy::I;
     return changed;
-}
-
-void
-Directory::snapState(snap::Io &io)
-{
-    for (std::uint64_t page : io.keys(entries_)) {
-        Entry &e = entry(page);
-        for (Copy &c : e)
-            io.pod(c);
-    }
 }
 
 } // namespace coherence

@@ -1,7 +1,7 @@
 /**
  * @file
- * The per-page copy directory of the invalidation protocols (two-state,
- * MSI, MESI, MOESI).
+ * The copy-state rules of the invalidation protocols (two-state, MSI,
+ * MESI, MOESI).
  *
  * Every kernel's copy of a page is in one MOESI state; each protocol
  * uses a subset. The paper's two-state scheme knows only M (its
@@ -10,41 +10,36 @@
  * owned-dirty O (a read of a Modified page leaves the holder O and
  * forwards the data cache-to-cache instead of writing it back).
  *
- * Directory is the pure state table plus the transition rules; timing,
- * mail and task structure stay with os::Dsm. Pages are born owned by
- * kernel 0 (the main kernel on the strong domain): M under the
- * two/three-state protocols, clean E under MESI/MOESI.
+ * Directory holds no per-page storage: a page's copy states (Copies)
+ * live in its os::Dsm page record, and Directory is the transition
+ * rules over them; timing, mail and task structure stay with os::Dsm.
+ * Pages are born owned by kernel 0 (the main kernel on the strong
+ * domain): M under the two/three-state protocols, clean E under
+ * MESI/MOESI.
  */
 
 #ifndef K2_OS_COHERENCE_DIRECTORY_H
 #define K2_OS_COHERENCE_DIRECTORY_H
 
-#include <unordered_map>
-#include <vector>
+#include <array>
 
 #include "os/coherence/protocol.h"
 #include "os/system.h"
 
 namespace k2 {
-
-namespace snap {
-class Io;
-}
-
 namespace os {
 namespace coherence {
 
 /** One kernel's copy of a page. */
 enum class Copy : std::uint8_t { I, S, E, O, M };
 
+/** Copy states of one page, indexed by kernel (the first n live). */
+using Copies = std::array<Copy, kMaxKernels>;
+
 class Directory
 {
   public:
-    /** Copy states of one page, indexed by kernel. */
-    using Entry = std::vector<Copy>;
-
-    Directory(ProtocolKind kind, std::size_t num_kernels,
-              std::uint64_t num_pages);
+    Directory(ProtocolKind kind, std::size_t num_kernels);
 
     static std::uint32_t bit(std::size_t k)
     {
@@ -62,15 +57,12 @@ class Directory
     /** True if @p s holds data newer than memory. */
     static bool dirty(Copy s) { return s == Copy::M || s == Copy::O; }
 
-    /** @p page's entry, instantiated on first use. */
-    Entry &entry(std::uint64_t page);
-
-    /** @p k's copy of @p page, without instantiating the entry. */
-    Copy state(std::size_t k, std::uint64_t page) const;
+    /** A new page's copy states. */
+    Copies born() const;
 
     /** The holder of the page's M/E/O copy, or the lowest-index
      *  holder, or kernel 0 if no copy is valid anywhere. */
-    std::size_t ownerOf(std::uint64_t page) const;
+    std::size_t ownerOf(const Copies &e) const;
 
     /**
      * The kernels a fault of @p k asks (bitmap). An exclusive request
@@ -80,7 +72,7 @@ class Directory
      * crash) is asked of kernel 0, or of kernel 1 if @p k is 0. With
      * two kernels the answer is always the peer.
      */
-    std::uint32_t targets(const Entry &e, std::size_t k,
+    std::uint32_t targets(const Copies &e, std::size_t k,
                           bool exclusive) const;
 
     /**
@@ -89,29 +81,21 @@ class Directory
      * was valid at @p t (the requester will hold the only one, except
      * under MSI, which has no E), else S.
      */
-    RepOp downgrade(Entry &e, std::size_t t) const;
+    RepOp downgrade(Copies &e, std::size_t t) const;
 
     /**
      * Crash recovery of one page: @p dead loses its copy. Unless the
      * page lives on with a third kernel (@p elsewhere), @p to becomes
      * its sole holder -- M if it was M, else E under MESI/MOESI and M
-     * under the two/three-state protocols. Returns true if the entry
-     * changed.
+     * under the two/three-state protocols. Returns true if a copy
+     * state changed.
      */
-    bool reclaim(Entry &e, std::size_t dead, std::size_t to,
+    bool reclaim(Copies &e, std::size_t dead, std::size_t to,
                  bool elsewhere) const;
 
-    /** Capture/restore the entries (pages instantiated after the
-     *  capture point are dropped on restore). */
-    void snapState(snap::Io &io);
-
   private:
-    Copy born(std::size_t k) const;
-
     ProtocolKind kind_;
     std::size_t n_;
-    std::uint64_t numPages_;
-    std::unordered_map<std::uint64_t, Entry> entries_;
 };
 
 } // namespace coherence

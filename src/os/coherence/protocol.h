@@ -10,12 +10,13 @@
  *
  *  - ProtocolKind names every registered protocol; parseProtocol()
  *    backs the `--dsm=PROTO` flag on the sweep binaries.
- *  - The pure per-page state machines live here: the copy-state
- *    directory of the invalidation family (2state/3state/MESI/MOESI,
+ *  - The protocol rules live here: the copy-state transitions of the
+ *    invalidation family (2state/3state/MESI/MOESI,
  *    coherence/directory.h) and the release-acquire logs and clocks
- *    (coherence/rac.h). Timing, mail and task structure stay with the
- *    one DSM engine, os::Dsm, which runs every protocol at any kernel
- *    count.
+ *    (coherence/rac.h). Neither keeps per-page state: each page's
+ *    copy states and RAC writer stamp sit in one record of the one
+ *    DSM engine, os::Dsm, which also owns timing, mail and task
+ *    structure and runs every protocol at any kernel count.
  *
  * Message encoding: every protocol carries a 3-bit opcode in the
  * payload's top bits and the page in the remaining 17 (packOp below),
@@ -54,6 +55,9 @@ enum class ProtocolKind : std::uint8_t
 };
 
 inline constexpr std::size_t kNumProtocols = 5;
+
+/** Most kernels one DSM spans (request fan-out is a 32-bit mask). */
+inline constexpr std::size_t kMaxKernels = 32;
 
 /** Canonical flag-facing name ("2state", "3state", "mesi", ...). */
 const char *protocolName(ProtocolKind kind);

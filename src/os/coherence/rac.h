@@ -23,17 +23,22 @@
  *    (write-through of the line address, one bus access), where the
  *    two-state protocol's owner writes are free.
  *
- * RacState is the pure state machine (logs, clocks, per-page writer
- * stamps); timing, messages and task structure stay with os::Dsm.
+ * RacState is the pure state machine over the logs and clocks. A
+ * page's {lastWriter, stamp} (RacPage) lives in its os::Dsm page
+ * record, and RacState's rules take it by reference; timing, messages
+ * and task structure stay with os::Dsm.
+ *
+ * Clocks and stamps are 64-bit: one domain would need 2^64 writes to
+ * wrap its clock, so `vc >= stamp` never misjudges freshness.
  */
 
 #ifndef K2_OS_COHERENCE_RAC_H
 #define K2_OS_COHERENCE_RAC_H
 
-#include <unordered_map>
 #include <vector>
 
 #include "os/coherence/protocol.h"
+#include "os/system.h"
 
 namespace k2 {
 
@@ -53,33 +58,30 @@ inline constexpr sim::Duration kRacLineInvalidate = sim::nsec(150);
 /** Modelled cache lines appended to the log per page write. */
 inline constexpr std::uint32_t kRacLinesPerWrite = 4;
 
+/** One page's RAC state. Born (never written): writer 0, stamp 0. */
+struct RacPage
+{
+    std::uint32_t lastWriter = 0; //!< The page's current (sole) writer.
+    std::uint64_t stamp = 0;      //!< Writer clock at the last write.
+};
+
 /**
  * The release-acquire state machine for N domains: per-domain
- * modified-line logs (append heads + per-consumer drain cursors),
- * the N x N vector clock, and per-page {lastWriter, stamp}.
+ * modified-line logs (append heads + per-consumer drain cursors) and
+ * the N x N vector clock.
  */
 class RacState
 {
   public:
-    RacState(std::size_t num_kernels, std::uint64_t num_pages);
+    explicit RacState(std::size_t num_kernels);
 
-    std::size_t numKernels() const { return n_; }
+    /** True if @p k may access page @p p without acquiring: a write
+     *  needs @p k to be the writer, a read a fresh copy. */
+    bool permits(std::size_t k, const RacPage &p, Access rw) const;
 
-    /** Page's current (sole) writer; 0 for never-written pages. */
-    std::size_t writerOf(std::uint64_t page) const;
-
-    /** True if @p k may read @p page without acquiring. */
-    bool readFresh(std::size_t k, std::uint64_t page) const;
-
-    /** True if @p k may write @p page without acquiring. */
-    bool isWriter(std::size_t k, std::uint64_t page) const
-    {
-        return writerOf(page) == k;
-    }
-
-    /** Log a write by the current writer @p k: bumps the writer's
-     *  clock and log head, restamps the page. */
-    void append(std::size_t k, std::uint64_t page);
+    /** Log a write to @p p by @p k, which becomes (or stays) its
+     *  writer: bumps @p k's clock and log head, restamps the page. */
+    void append(std::size_t k, RacPage &p);
 
     /** Lines of @p w's log that @p k has not drained yet. */
     std::uint32_t pendingLines(std::size_t k, std::size_t w) const;
@@ -88,45 +90,28 @@ class RacState
      *  writer's clock. Returns the lines invalidated. */
     std::uint32_t drain(std::size_t k, std::size_t w);
 
-    /** Complete a write-acquire: @p k becomes the page's writer (and
-     *  logs the write that triggered the acquire). */
-    void takeOwnership(std::size_t k, std::uint64_t page);
-
     /**
-     * Crash recovery: @p to inherits every page last written by
-     * @p dead (in ascending page order), absorbs the dead log
-     * (cursor to head, clock merged), and restamps inherited pages at
-     * its own clock so other domains re-acquire after the re-sync.
-     * Returns the inherited page keys.
+     * Crash recovery: @p to absorbs @p dead's log (cursor to head,
+     * clock merged). Set @p inherits when @p dead last wrote some
+     * pages, which pass to @p to: one tick of @p to's clock covers
+     * them all. Returns the state each inherited page takes: writer
+     * @p to at its clock, so other domains re-acquire after the
+     * re-sync.
      */
-    std::vector<std::uint64_t> reclaim(std::size_t dead,
-                                       std::size_t to);
-
-    std::uint64_t logAppends() const { return logAppends_.value(); }
-    std::uint64_t drainedLines() const { return drainedLines_.value(); }
+    RacPage reclaim(std::size_t dead, std::size_t to, bool inherits);
 
     /** Register rac counters under "<prefix>.rac.*". */
     void registerMetrics(obs::MetricsRegistry &reg,
                          const std::string &prefix) const;
 
-    /** Capture/restore logs, clocks and page stamps. */
+    /** Capture/restore logs, clocks and counters, in that order. */
     void snapState(snap::Io &io);
 
   private:
-    struct PageState
-    {
-        std::uint32_t lastWriter = 0;
-        std::uint32_t stamp = 0; //!< Writer clock at the last write.
-    };
-
-    PageState &page(std::uint64_t p);
-
     std::size_t n_;
-    std::uint64_t numPages_;
-    std::vector<std::uint32_t> logHead_;           //!< Per writer.
-    std::vector<std::uint32_t> drained_;           //!< [k][w], n*n.
-    std::vector<std::uint32_t> vc_;                //!< [k][w], n*n.
-    std::unordered_map<std::uint64_t, PageState> pages_;
+    std::vector<std::uint32_t> logHead_; //!< Per writer (lines, modular).
+    std::vector<std::uint32_t> drained_; //!< [k][w], n*n.
+    std::vector<std::uint64_t> vc_;      //!< [k][w], n*n.
     sim::Counter logAppends_;
     sim::Counter drainedLines_;
 };

@@ -55,7 +55,8 @@ Dsm::Dsm(soc::Soc &soc, std::vector<kern::Kernel *> kernels,
     : soc_(soc), kernels_(std::move(kernels)), kind_(protocol),
       numPages_(num_pages), stats_(kernels_.size())
 {
-    K2_ASSERT(kernels_.size() >= 2 && kernels_.size() <= 32);
+    K2_ASSERT(kernels_.size() >= 2 &&
+              kernels_.size() <= coherence::kMaxKernels);
     for (kern::Kernel *k : kernels_) {
         K2_ASSERT(k != nullptr);
         const auto &spec = k->domain().spec().core;
@@ -69,13 +70,10 @@ Dsm::Dsm(soc::Soc &soc, std::vector<kern::Kernel *> kernels,
                  coherence::protocolName(kind_),
                  static_cast<unsigned long long>(coherence::kOpMaxPages),
                  static_cast<unsigned long long>(numPages_));
-    if (kind_ == ProtocolKind::Rac) {
-        rac_ = std::make_unique<coherence::RacState>(kernels_.size(),
-                                                     numPages_);
-    } else {
-        dir_ = std::make_unique<Directory>(kind_, kernels_.size(),
-                                           numPages_);
-    }
+    if (kind_ == ProtocolKind::Rac)
+        rac_ = std::make_unique<coherence::RacState>(kernels_.size());
+    else
+        dir_ = std::make_unique<Directory>(kind_, kernels_.size());
 }
 
 Dsm::~Dsm() = default;
@@ -93,19 +91,16 @@ Dsm::allocRegion(std::uint64_t pages)
     return r;
 }
 
-Dsm::PageInfo &
-Dsm::info(std::uint64_t page)
+Dsm::Page &
+Dsm::record(std::uint64_t page)
 {
     K2_ASSERT(page < numPages_);
-    auto it = pages_.find(page);
-    if (it == pages_.end()) {
-        auto pi = std::make_unique<PageInfo>();
-        pi->faults.resize(kernels_.size());
-        pi->grant = std::make_unique<sim::Event>(soc_.engine());
-        pi->settled = std::make_unique<sim::Event>(soc_.engine());
-        it = pages_.emplace(page, std::move(pi)).first;
+    while (pages_.size() <= page) {
+        Page &pg = pages_.emplace_back(soc_.engine());
+        if (dir_)
+            pg.copies = dir_->born();
     }
-    return *it->second;
+    return pages_[page];
 }
 
 KernelIdx
@@ -119,11 +114,11 @@ Dsm::idxOf(const kern::Kernel &k) const
 }
 
 std::uint32_t
-Dsm::faulting(const PageInfo &pi) const
+Dsm::faulting(const Page &pg) const
 {
     std::uint32_t mask = 0;
     for (KernelIdx k = 0; k < kernels_.size(); ++k) {
-        if (pi.faults[k].outstanding && !pi.faults[k].abandoned)
+        if (pg.faults[k].outstanding && !pg.faults[k].abandoned)
             mask |= Directory::bit(k);
     }
     return mask;
@@ -140,17 +135,26 @@ bool
 Dsm::isLocallyValid(KernelIdx kernel, std::uint64_t page,
                     Access rw) const
 {
+    // A page past the table's end is untouched: read it as born.
+    const bool touched = page < pages_.size();
     if (rac_) {
-        return rw == Access::Write ? rac_->isWriter(kernel, page)
-                                   : rac_->readFresh(kernel, page);
+        return rac_->permits(kernel,
+                             touched ? pages_[page].rac
+                                     : coherence::RacPage{},
+                             rw);
     }
-    return Directory::permits(dir_->state(kernel, page), rw);
+    const Copy s =
+        touched ? pages_[page].copies[kernel] : dir_->born()[kernel];
+    return Directory::permits(s, rw);
 }
 
 KernelIdx
 Dsm::ownerOf(std::uint64_t page) const
 {
-    return rac_ ? rac_->writerOf(page) : dir_->ownerOf(page);
+    if (page >= pages_.size())
+        return 0; // Untouched: born kernel 0's.
+    return rac_ ? pages_[page].rac.lastWriter
+                : dir_->ownerOf(pages_[page].copies);
 }
 
 sim::Task<void>
@@ -174,8 +178,9 @@ Dsm::send(KernelIdx from, KernelIdx to, MsgType type,
 void
 Dsm::askHolders(KernelIdx k, std::uint64_t page, bool exclusive)
 {
-    Fault &f = info(page).faults[k];
-    f.awaiting = dir_->targets(dir_->entry(page), k, exclusive);
+    Page &pg = record(page);
+    Fault &f = pg.faults[k];
+    f.awaiting = dir_->targets(pg.copies, k, exclusive);
     const std::uint32_t req = coherence::packOp(
         exclusive ? ReqOp::GetX : ReqOp::GetS, page);
     for (KernelIdx j = 0; j < kernels_.size(); ++j) {
@@ -187,7 +192,7 @@ Dsm::askHolders(KernelIdx k, std::uint64_t page, bool exclusive)
 void
 Dsm::askWriter(KernelIdx k, KernelIdx w, std::uint64_t page)
 {
-    info(page).faults[k].awaiting = Directory::bit(w);
+    record(page).faults[k].awaiting = Directory::bit(w);
     send(k, w, MsgType::GetExclusive, coherence::packOp(ReqOp::Acq, page));
 }
 
@@ -217,7 +222,7 @@ Dsm::bottomHalf(KernelIdx k)
 }
 
 sim::Task<void>
-Dsm::awaitGrant(PageInfo &pi, KernelIdx k, soc::Core &core,
+Dsm::awaitGrant(Page &pg, KernelIdx k, soc::Core &core,
                 std::uint64_t page, bool exclusive)
 {
     // Spin (synchronously -- the faulting context may be an interrupt
@@ -226,14 +231,14 @@ Dsm::awaitGrant(PageInfo &pi, KernelIdx k, soc::Core &core,
     // request when the grant times out: the request or its grant may
     // have been lost, or the asked kernel may be down until the
     // watchdog revives it (or reclaims the page from it).
-    Fault &f = pi.faults[k];
-    pi.grant->reset();
+    Fault &f = pg.faults[k];
+    pg.grant.reset();
     f.grantArrived = false;
     core.pinActive();
     sim::Duration rto = retry_.timeout;
     while (!f.grantArrived) {
         bool timer_fired = false;
-        sim::Event *grant = pi.grant.get();
+        sim::Event *grant = &pg.grant;
         sim::EventId timer;
         if (rto != 0) {
             timer = soc_.engine().after(rto, [grant, &timer_fired]() {
@@ -241,7 +246,7 @@ Dsm::awaitGrant(PageInfo &pi, KernelIdx k, soc::Core &core,
                 grant->pulse();
             });
         }
-        co_await pi.grant->wait();
+        co_await pg.grant.wait();
         soc_.engine().cancel(timer);
         if (f.grantArrived)
             break;
@@ -263,7 +268,7 @@ Dsm::awaitGrant(PageInfo &pi, KernelIdx k, soc::Core &core,
                      static_cast<unsigned long long>(page));
             // Re-read the writer: a reclaim may have moved the page
             // since the original Acq.
-            const KernelIdx w = rac_->writerOf(page);
+            const KernelIdx w = pg.rac.lastWriter;
             if (w == k)
                 break;
             askWriter(k, w, page);
@@ -314,14 +319,14 @@ sim::Task<void>
 Dsm::accessCopy(KernelIdx k, soc::Core &core, std::uint64_t page,
                 Access rw)
 {
-    PageInfo &pi = info(page);
-    Fault &f = pi.faults[k];
+    Page &pg = record(page);
+    Fault &f = pg.faults[k];
     const KernelCosts &c = costsFor(strong_[k]);
 
     // Address translation through the local MMU at the page's current
     // mapping grain.
     const auto grain =
-        pi.demoted ? soc::MapGrain::Page4K : soc::MapGrain::Section1M;
+        pg.demoted ? soc::MapGrain::Page4K : soc::MapGrain::Section1M;
     const sim::Duration walk = mmus_[k]->translate(page, grain);
     if (walk)
         co_await core.execTime(walk);
@@ -329,12 +334,12 @@ Dsm::accessCopy(KernelIdx k, soc::Core &core, std::uint64_t page,
     for (;;) {
         // Serialise with a fault already in flight on this kernel (and,
         // beyond two kernels, on any kernel).
-        while (f.outstanding || (serialised() && faulting(pi) != 0)) {
+        while (f.outstanding || (serialised() && faulting(pg) != 0)) {
             core.pinActive();
-            co_await pi.settled->wait();
+            co_await pg.settled.wait();
             core.unpinActive();
         }
-        Directory::Entry &e = dir_->entry(page);
+        coherence::Copies &e = pg.copies;
         if (Directory::permits(e[k], rw)) {
             // Silent E->M upgrade: no messages, no cost.
             if (rw == Access::Write && e[k] == Copy::E)
@@ -358,13 +363,13 @@ Dsm::accessCopy(KernelIdx k, soc::Core &core, std::uint64_t page,
         f.upgrade = e[k] != Copy::I;
         f.raced = false;
 
-        if (!pi.demoted) {
+        if (!pg.demoted) {
             // Replacing the local large-grain mapping with 4 KB
             // entries: one page-table update on the faulting side. The
             // remote side's mapping is rewritten when it services or
             // faults next; its cost is folded into the protection
             // updates charged there.
-            pi.demoted = true;
+            pg.demoted = true;
             demotions_.inc();
             co_await core.execTime(mmus_[k]->protectionUpdate(page));
         }
@@ -386,10 +391,10 @@ Dsm::accessCopy(KernelIdx k, soc::Core &core, std::uint64_t page,
         const bool exclusive =
             kind_ == ProtocolKind::TwoState || rw == Access::Write;
         askHolders(k, page, exclusive);
-        co_await awaitGrant(pi, k, core, page, exclusive);
+        co_await awaitGrant(pg, k, core, page, exclusive);
         if (f.abandoned) {
             f = Fault{};
-            pi.settled->pulse();
+            pg.settled.pulse();
             continue;
         }
         const sim::Time t3 = soc_.engine().now();
@@ -403,7 +408,7 @@ Dsm::accessCopy(KernelIdx k, soc::Core &core, std::uint64_t page,
             e[k] = exclusive ? Copy::M : f.grantState;
         f.outstanding = false;
         f.upgrade = false;
-        pi.settled->pulse();
+        pg.settled.pulse();
         recordFault(k, f, t0, t1, t2, t3, t4);
 
         if (!raced)
@@ -417,15 +422,15 @@ sim::Task<void>
 Dsm::serviceGet(KernelIdx t, KernelIdx req, std::uint64_t page,
                 bool exclusive)
 {
-    PageInfo &pi = info(page);
-    Fault &f = pi.faults[t];
+    Page &pg = record(page);
+    Fault &f = pg.faults[t];
     co_await bottomHalf(t);
 
     // Serialise with a local fault in flight, except for a concurrent
     // upgrade race, which we resolve by invalidating the local copy
     // and letting the local fault retry.
     while (f.outstanding && !f.upgrade)
-        co_await pi.settled->wait();
+        co_await pg.settled.wait();
 
     soc::Core &core = serviceCore(t);
     if (!core.awake())
@@ -433,7 +438,7 @@ Dsm::serviceGet(KernelIdx t, KernelIdx req, std::uint64_t page,
 
     const sim::Time t_start = soc_.engine().now();
     soc::CoherenceDomain &dom = kernels_[t]->domain();
-    Directory::Entry &e = dir_->entry(page);
+    coherence::Copies &e = pg.copies;
     const Copy s = e[t];
     const bool dirty = Directory::dirty(s);
     sim::Duration cost = costsFor(strong_[t]).serviceBase +
@@ -459,7 +464,7 @@ Dsm::serviceGet(KernelIdx t, KernelIdx req, std::uint64_t page,
             f.raced = true;
         e[t] = Copy::I;
     }
-    pi.faults[req].serviceTime = soc_.engine().now() - t_start;
+    pg.faults[req].serviceTime = soc_.engine().now() - t_start;
     soc_.engine().spanComplete(t_start, tracks_[t], "service");
 
     K2_TRACE(soc_.engine(), sim::TraceCat::Dsm,
@@ -481,8 +486,8 @@ sim::Task<void>
 Dsm::accessRac(KernelIdx k, soc::Core &core, std::uint64_t page,
                Access rw)
 {
-    PageInfo &pi = info(page);
-    Fault &f = pi.faults[k];
+    Page &pg = record(page);
+    Fault &f = pg.faults[k];
     const KernelCosts &c = costsFor(strong_[k]);
 
     // Pages are never demoted under release-acquire (invalidation is
@@ -494,16 +499,16 @@ Dsm::accessRac(KernelIdx k, soc::Core &core, std::uint64_t page,
 
     for (;;) {
         // Serialise with an acquire already in flight on this page.
-        while (f.outstanding || (serialised() && faulting(pi) != 0)) {
+        while (f.outstanding || (serialised() && faulting(pg) != 0)) {
             core.pinActive();
-            co_await pi.settled->wait();
+            co_await pg.settled.wait();
             core.unpinActive();
         }
         if (isLocallyValid(k, page, rw)) {
             if (rw == Access::Write) {
                 // Owner write: append the modified line addresses to
                 // this domain's log through the coherent region.
-                rac_->append(k, page);
+                rac_->append(k, pg.rac);
                 co_await core.execTime(soc_.costs().busAccess);
             }
             co_return;
@@ -528,11 +533,11 @@ Dsm::accessRac(KernelIdx k, soc::Core &core, std::uint64_t page,
         co_await core.execTime(c.protocolExec);
         const sim::Time t2 = soc_.engine().now();
 
-        askWriter(k, rac_->writerOf(page), page);
-        co_await awaitGrant(pi, k, core, page, true);
+        askWriter(k, pg.rac.lastWriter, page);
+        co_await awaitGrant(pg, k, core, page, true);
         if (f.abandoned) {
             f = Fault{};
-            pi.settled->pulse();
+            pg.settled.pulse();
             continue;
         }
         const sim::Time t3 = soc_.engine().now();
@@ -558,10 +563,12 @@ Dsm::accessRac(KernelIdx k, soc::Core &core, std::uint64_t page,
         co_await core.execTime(exit);
         const sim::Time t4 = soc_.engine().now();
 
+        // A write takes ownership, logging the write that triggered
+        // the acquire.
         if (rw == Access::Write)
-            rac_->takeOwnership(k, page);
+            rac_->append(k, pg.rac);
         f.outstanding = false;
-        pi.settled->pulse();
+        pg.settled.pulse();
         recordFault(k, f, t0, t1, t2, t3, t4);
 
         if (rw == Access::Write)
@@ -574,7 +581,7 @@ Dsm::accessRac(KernelIdx k, soc::Core &core, std::uint64_t page,
 sim::Task<void>
 Dsm::serviceAcquire(KernelIdx writer, KernelIdx req, std::uint64_t page)
 {
-    PageInfo &pi = info(page);
+    Page &pg = record(page);
     co_await bottomHalf(writer);
 
     soc::Core &core = serviceCore(writer);
@@ -587,7 +594,7 @@ Dsm::serviceAcquire(KernelIdx writer, KernelIdx req, std::uint64_t page)
     co_await core.execTime(
         costsFor(strong_[writer]).serviceBase +
         kernels_[writer]->domain().flushTime(soc_.pageBytes()));
-    pi.faults[req].serviceTime = soc_.engine().now() - t_start;
+    pg.faults[req].serviceTime = soc_.engine().now() - t_start;
     soc_.engine().spanComplete(t_start, tracks_[writer], "service");
     K2_TRACE(soc_.engine(), sim::TraceCat::Dsm, "%s releases page %llu",
              kernels_[writer]->name().c_str(),
@@ -632,8 +639,8 @@ Dsm::handleMail(KernelIdx to, soc::Mail mail, soc::Core &core)
         // Grant: wake the spinning requester once every asked kernel
         // has answered.
         co_await core.execTime(soc_.costs().busAccess);
-        PageInfo &pi = info(page);
-        Fault &f = pi.faults[to];
+        Page &pg = record(page);
+        Fault &f = pg.faults[to];
         switch (static_cast<RepOp>(op)) {
           case RepOp::GrantS: f.grantState = Copy::S; break;
           case RepOp::GrantE: f.grantState = Copy::E; break;
@@ -642,7 +649,7 @@ Dsm::handleMail(KernelIdx to, soc::Mail mail, soc::Core &core)
         f.awaiting &= ~Directory::bit(from);
         if (f.awaiting == 0) {
             f.grantArrived = true;
-            pi.grant->pulse();
+            pg.grant.pulse();
         }
         co_return;
       }
@@ -657,26 +664,31 @@ Dsm::reclaimFrom(KernelIdx dead, KernelIdx to)
 {
     K2_ASSERT(dead < kernels_.size() && to < kernels_.size());
     K2_ASSERT(dead != to);
+    // An untouched (born) record is a fixed point of what follows only
+    // while the main kernel survives.
+    K2_ASSERT(dead != 0);
     std::vector<std::uint64_t> changed;
-    if (rac_)
-        changed = rac_->reclaim(dead, to);
     // Ascending page order: completing a stranded fault pulses its
-    // grant event, and the pulse order decides wakeup FIFO order --
-    // hash order would make recovery runs irreproducible.
-    for (std::uint64_t page : snap::sortedKeys(pages_)) {
-        PageInfo &pi = *pages_.at(page);
+    // grant event, and the pulse order decides wakeup FIFO order.
+    for (std::uint64_t page = 0; page < pages_.size(); ++page) {
+        Page &pg = pages_[page];
         bool sole = true;
-        if (dir_) {
+        if (rac_) {
+            // RAC: `to` inherits the pages `dead` last wrote
+            // (restamped after the walk).
+            if (pg.rac.lastWriter == dead)
+                changed.push_back(page);
+        } else {
             // The page stays with a third kernel that holds a copy, or
             // that is being granted a page nobody holds any more.
-            Directory::Entry &e = dir_->entry(page);
+            coherence::Copies &e = pg.copies;
             bool held = false;
             bool granting = false;
             for (KernelIdx j = 0; j < kernels_.size(); ++j) {
                 if (j == dead || j == to)
                     continue;
                 held |= e[j] != Copy::I;
-                granting |= pi.faults[j].outstanding;
+                granting |= pg.faults[j].outstanding;
             }
             sole = !held && !(granting && e[dead] == Copy::I &&
                               e[to] == Copy::I);
@@ -685,23 +697,29 @@ Dsm::reclaimFrom(KernelIdx dead, KernelIdx to)
         }
         // A fault of the inheritor waiting on a grant from the dead
         // kernel now owns the page; complete it locally.
-        Fault &f = pi.faults[to];
+        Fault &f = pg.faults[to];
         if (sole && f.outstanding && !f.grantArrived) {
             f.grantState = kind_ == ProtocolKind::ThreeState ? Copy::S
                                                              : Copy::E;
             f.awaiting = 0;
             f.grantArrived = true;
-            pi.grant->pulse();
+            pg.grant.pulse();
         }
         // The dead kernel's own fault is abandoned: it must not hold
         // up the survivors' faults on this page until it revives, nor
         // resend a stale request afterwards.
-        Fault &fd = pi.faults[dead];
+        Fault &fd = pg.faults[dead];
         if (fd.outstanding && !fd.abandoned) {
             fd.abandoned = true;
             fd.awaiting = 0;
-            pi.settled->pulse();
+            pg.settled.pulse();
         }
+    }
+    if (rac_) {
+        const coherence::RacPage heir =
+            rac_->reclaim(dead, to, !changed.empty());
+        for (std::uint64_t page : changed)
+            pages_[page].rac = heir;
     }
     return changed;
 }
@@ -767,18 +785,22 @@ Dsm::snapState(snap::Io &io)
         st.exitUs.snapState(io);
         st.totalUs.snapState(io);
     }
-    // Per-page fault state; the page map only ever grows (info()
-    // instantiates on first access), so restore drops entries
-    // instantiated after the capture point -- they are re-instantiated
-    // identically on replay.
-    for (std::uint64_t page : io.keys(pages_)) {
-        auto it = pages_.find(page);
-        if (it == pages_.end())
-            K2_FATAL("snapshot restore: DSM page %llu missing",
-                     static_cast<unsigned long long>(page));
-        PageInfo &pi = *it->second;
-        io.pod(pi.demoted);
-        for (Fault &f : pi.faults) {
+    // The page records. The table only grows (record() appends on
+    // first touch), so restore drops the records grown after the
+    // capture point; replay re-grows them identically.
+    const std::uint64_t n = io.count(pages_.size());
+    while (pages_.size() > n)
+        pages_.pop_back();
+    if (n > 0)
+        record(n - 1);
+    for (Page &pg : pages_) {
+        io.pod(pg.demoted);
+        for (KernelIdx k = 0; k < kernels_.size(); ++k)
+            io.pod(pg.copies[k]);
+        io.pod(pg.rac.lastWriter);
+        io.pod(pg.rac.stamp);
+        for (KernelIdx k = 0; k < kernels_.size(); ++k) {
+            Fault &f = pg.faults[k];
             io.pod(f.outstanding);
             io.pod(f.upgrade);
             io.pod(f.raced);
@@ -788,11 +810,9 @@ Dsm::snapState(snap::Io &io)
             io.pod(f.awaiting);
             io.pod(f.serviceTime);
         }
-        pi.grant->snapState(io);
-        pi.settled->snapState(io);
+        pg.grant.snapState(io);
+        pg.settled.snapState(io);
     }
-    if (dir_)
-        dir_->snapState(io);
     if (rac_)
         rac_->snapState(io);
 }

@@ -44,14 +44,24 @@
  * kernels: two faulters that need not ask each other would otherwise
  * both be granted. With two kernels every faulter asks its peer, and
  * crossing requests resolve in the service path instead.
+ *
+ * All of a page's state is one record (Dsm::Page) in a table indexed
+ * by page number: its mapping grain, every kernel's copy state
+ * (coherence::Directory's rules run over it), its RAC writer stamp
+ * (coherence::RacState's), the faults in flight and their grant and
+ * settle events. The table grows to page + 1 on a page's first
+ * mutating touch; looking never grows it, and an untouched page reads
+ * as born. Records never move: a suspended fault holds references
+ * into its page's record.
  */
 
 #ifndef K2_OS_DSM_H
 #define K2_OS_DSM_H
 
+#include <array>
 #include <cstdint>
+#include <deque>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/stats.h"
@@ -87,7 +97,7 @@ class Dsm
     /**
      * @param soc The platform.
      * @param kernels One kernel per coherence domain, main (strong)
-     *        first; at most 32.
+     *        first; at most coherence::kMaxKernels.
      * @param num_pages Number of DSM-managed page keys available; at
      *        most coherence::kOpMaxPages (fatal otherwise).
      */
@@ -113,7 +123,10 @@ class Dsm
     std::uint64_t retries() const { return retries_.value(); }
 
     /**
-     * Crash recovery: @p dead loses every copy it holds. Pages no
+     * Crash recovery: @p dead loses every copy it holds. @p dead is
+     * never kernel 0: the main kernel never dies (recovery reclaims
+     * only from shadow replicas), so a page nobody touched stays as
+     * born. Pages no
      * third kernel holds (or is being granted) pass to @p to as sole
      * holder (RAC: @p to inherits the pages @p dead last wrote), and
      * faults of @p to stranded waiting on @p dead complete locally.
@@ -182,9 +195,9 @@ class Dsm
     void registerMetrics(obs::MetricsRegistry &reg) const;
 
     /**
-     * Capture/restore protocol state: per-page coherence state (pages
-     * instantiated after the capture point are dropped), MMU/TLB
-     * contents and fault statistics.
+     * Capture/restore protocol state: the page records (restore drops
+     * the records grown after the capture point), MMU/TLB contents and
+     * fault statistics.
      */
     void snapState(snap::Io &io);
 
@@ -206,18 +219,27 @@ class Dsm
         sim::Duration serviceTime = 0;
     };
 
-    struct PageInfo
+    /** Everything the DSM knows about one page. Pinned in place:
+     *  suspended faults hold references into it. */
+    struct Page
     {
-        std::vector<Fault> faults; //!< Indexed by kernel.
+        explicit Page(sim::Engine &eng) : grant(eng), settled(eng) {}
+        Page(const Page &) = delete;
+        Page &operator=(const Page &) = delete;
+
         bool demoted = false;
-        std::unique_ptr<sim::Event> grant;   //!< Pulsed on PutExclusive.
-        std::unique_ptr<sim::Event> settled; //!< Pulsed when a local
-                                             //!< fault fully completes.
+        coherence::Copies copies{}; //!< Invalidation protocols.
+        coherence::RacPage rac;     //!< RAC.
+        std::array<Fault, coherence::kMaxKernels> faults{}; //!< By kernel.
+        sim::Event grant;   //!< Pulsed on PutExclusive.
+        sim::Event settled; //!< Pulsed when a local fault fully
+                            //!< completes.
     };
 
-    PageInfo &info(std::uint64_t page);
+    /** @p page's record, growing the table to it on first touch. */
+    Page &record(std::uint64_t page);
     KernelIdx idxOf(const kern::Kernel &k) const;
-    std::uint32_t faulting(const PageInfo &pi) const;
+    std::uint32_t faulting(const Page &pg) const;
     /** Faults on one page serialise across kernels (RAC acquires
      *  always; invalidation faults beyond two kernels). */
     bool serialised() const { return rac_ || kernels_.size() > 2; }
@@ -233,7 +255,7 @@ class Dsm
     void askWriter(KernelIdx k, KernelIdx w, std::uint64_t page);
     soc::Core &serviceCore(KernelIdx k);
     sim::Task<void> bottomHalf(KernelIdx k);
-    sim::Task<void> awaitGrant(PageInfo &pi, KernelIdx k,
+    sim::Task<void> awaitGrant(Page &pg, KernelIdx k,
                                soc::Core &core, std::uint64_t page,
                                bool exclusive);
     /** Emit @p k's completed fault as spans and Table-5 samples. */
@@ -264,7 +286,7 @@ class Dsm
     std::vector<std::unique_ptr<soc::Mmu>> mmus_;
     std::vector<FaultStats> stats_;
     std::vector<sim::TrackId> tracks_; //!< Per-kernel span tracks.
-    std::unordered_map<std::uint64_t, std::unique_ptr<PageInfo>> pages_;
+    std::deque<Page> pages_; //!< Indexed by page number.
     sim::Counter messages_;
     sim::Counter demotions_;
     sim::Counter retries_;

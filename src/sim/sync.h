@@ -13,7 +13,7 @@
 
 #include <coroutine>
 #include <cstddef>
-#include <deque>
+#include <vector>
 
 #include "sim/engine.h"
 #include "snap/io.h"
@@ -97,14 +97,16 @@ class Event
     void
     wakeAll()
     {
-        std::deque<std::coroutine_handle<>> ws;
+        std::vector<std::coroutine_handle<>> ws;
         ws.swap(waiters_);
         for (auto h : ws)
             engine_.resumeLater(h);
     }
 
     Engine &engine_;
-    std::deque<std::coroutine_handle<>> waiters_;
+    /** A vector, not a deque: an event nobody waits on owns no heap
+     *  (each DSM page record holds two). */
+    std::vector<std::coroutine_handle<>> waiters_;
     bool set_ = false;
 };
 

@@ -47,20 +47,6 @@
 namespace k2 {
 namespace snap {
 
-/** The keys of map @p m in ascending order (hash maps iterate in an
- *  order that would make snapshots and recovery irreproducible). */
-template <typename Map>
-std::vector<typename Map::key_type>
-sortedKeys(const Map &m)
-{
-    std::vector<typename Map::key_type> ks;
-    ks.reserve(m.size());
-    for (const auto &kv : m)
-        ks.push_back(kv.first);
-    std::sort(ks.begin(), ks.end());
-    return ks;
-}
-
 class Io
 {
   public:
@@ -168,7 +154,13 @@ class Io
     std::vector<typename Map::key_type>
     keys(Map &m)
     {
-        const std::vector<typename Map::key_type> ks = sortedKeys(m);
+        // Ascending: hash maps iterate in an order that would make
+        // snapshots irreproducible.
+        std::vector<typename Map::key_type> ks;
+        ks.reserve(m.size());
+        for (const auto &kv : m)
+            ks.push_back(kv.first);
+        std::sort(ks.begin(), ks.end());
         std::vector<typename Map::key_type> stored(
             static_cast<std::size_t>(count(ks.size())));
         if (capturing())

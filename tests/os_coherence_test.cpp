@@ -5,18 +5,23 @@
  * contracts at every kernel count -- one writer at a time,
  * read-your-writes, completion of every access under seeded fuzz with
  * shadow-data verification, serialised concurrent writers, crash
- * reclaim, and snapshot roundtrip. Each contract runs twice: on the
- * two-kernel K2System (PairConformanceTest) and on a standalone
- * three-domain DSM (NdsmConformanceTest).
+ * reclaim, faults in flight across page-table growth, and snapshot
+ * roundtrip. Each contract runs twice: on the two-kernel K2System
+ * (PairConformanceTest) and on a standalone three-domain DSM
+ * (NdsmConformanceTest). RacClock checks the release-acquire clock
+ * past 2^32 writes.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "os/coherence/protocol.h"
+#include "os/coherence/rac.h"
 #include "os/k2_system.h"
 #include "sim/random.h"
 #include "snap/snapshot.h"
@@ -309,6 +314,46 @@ class Conformance
     }
 
     void
+    tableGrowthKeepsFaultsInFlight()
+    {
+        // Kernel 1's write fault on a low page suspends awaiting its
+        // grant, holding references into the page's record; meanwhile
+        // kernel 0 first-touches a page far past the table's end, so
+        // the table grows. The suspended fault must complete on its
+        // own record.
+        constexpr std::uint64_t kLow = 1;
+        constexpr std::uint64_t kFar = 4096;
+        bool faulted = false;
+        bool grown_mid_fault = false;
+        h.spawn(1, [this, &faulted](Thread &t) -> Task<void> {
+            co_await h.dsm().access(t.kernel(), t.core(), kLow,
+                                    Access::Write);
+            faulted = true;
+        });
+        // Step until the request is out: the faulter now waits.
+        const std::uint64_t msgs = h.dsm().messagesSent();
+        while (h.dsm().messagesSent() == msgs)
+            ASSERT_TRUE(h.engine().runOne());
+        h.spawn(0, [this, &faulted, &grown_mid_fault](Thread &t)
+                       -> Task<void> {
+            co_await h.dsm().access(t.kernel(), t.core(), kFar,
+                                    Access::Write);
+            grown_mid_fault = !faulted;
+        });
+        h.engine().run();
+        EXPECT_TRUE(grown_mid_fault);
+        ASSERT_TRUE(faulted);
+        EXPECT_EQ(h.dsm().ownerOf(kLow), 1u);
+        EXPECT_EQ(h.dsm().ownerOf(kFar), 0u);
+        for (std::size_t k = 0; k < N; ++k) {
+            EXPECT_EQ(h.dsm().isLocallyValid(k, kLow, Access::Write),
+                      k == 1);
+            EXPECT_EQ(h.dsm().isLocallyValid(k, kFar, Access::Write),
+                      k == 0);
+        }
+    }
+
+    void
     snapshotRoundtripReplaysIdentically()
     {
         // Warm up with a little traffic so protocol state (copy
@@ -405,6 +450,15 @@ TEST_P(NdsmConformanceTest, ReclaimMovesOwnershipToSurvivor)
     reclaimMovesOwnershipToSurvivor();
 }
 
+TEST_P(PairConformanceTest, TableGrowthKeepsFaultsInFlight)
+{
+    tableGrowthKeepsFaultsInFlight();
+}
+TEST_P(NdsmConformanceTest, TableGrowthKeepsFaultsInFlight)
+{
+    tableGrowthKeepsFaultsInFlight();
+}
+
 TEST_P(PairConformanceTest, SnapshotRoundtripReplaysIdentically)
 {
     snapshotRoundtripReplaysIdentically();
@@ -412,6 +466,44 @@ TEST_P(PairConformanceTest, SnapshotRoundtripReplaysIdentically)
 TEST_P(NdsmConformanceTest, SnapshotRoundtripReplaysIdentically)
 {
     snapshotRoundtripReplaysIdentically();
+}
+
+// RAC clocks and stamps are 64-bit: a writer clock past 2^32 still
+// orders stamps, so another domain's copy stays stale until it drains.
+// The clock gets there through a RacState image whose clock words the
+// test sets, not through 2^32 appends.
+TEST(RacClock, StaysOrderedPastTwoToThe32Writes)
+{
+    constexpr std::size_t n = 2;
+    coherence::RacState rac(n);
+    coherence::RacPage page;
+    rac.append(1, page); // Domain 1 writes: its clock and stamp are 1.
+    rac.drain(0, 1);     // Domain 0 catches up.
+    ASSERT_TRUE(rac.permits(0, page, Access::Read));
+
+    std::vector<std::uint8_t> image;
+    snap::Io capture(image, 1);
+    rac.snapState(capture);
+    // The image holds n log heads and n*n drain cursors (32-bit), then
+    // the n*n clock words vc[k][w]. Set vc[0][1] and vc[1][1].
+    const std::size_t vc_at = n * 4 + n * n * 4;
+    const std::uint64_t near_wrap = 0xffffffffull;
+    for (const std::size_t k : {std::size_t{0}, std::size_t{1}}) {
+        std::memcpy(&image[vc_at + (k * n + 1) * 8], &near_wrap,
+                    sizeof near_wrap);
+    }
+    snap::Io restore(std::as_const(image), 1);
+    rac.snapState(restore);
+    restore.finish();
+    ASSERT_TRUE(rac.permits(0, page, Access::Read));
+
+    // Clock 2^32: a 32-bit clock would wrap to 0 and read fresh here.
+    rac.append(1, page);
+    EXPECT_EQ(page.stamp, 1ull << 32);
+    EXPECT_FALSE(rac.permits(0, page, Access::Read));
+    EXPECT_GT(rac.pendingLines(0, 1), 0u);
+    rac.drain(0, 1);
+    EXPECT_TRUE(rac.permits(0, page, Access::Read));
 }
 
 const auto kProtocolName =

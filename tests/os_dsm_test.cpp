@@ -5,8 +5,8 @@
  * three-state (MSI) alternative, and the same engine across three
  * coherence domains (the §11 extension): ownership transfer among
  * three kernels, serialisation of concurrent faults, the grant-retry
- * backoff and lost-request recovery, crash reclaim mid-fault, and
- * randomized property sweeps.
+ * backoff and lost-request recovery, crash reclaim mid-fault and of
+ * untouched pages, and randomized property sweeps.
  */
 
 #include <gtest/gtest.h>
@@ -588,6 +588,35 @@ TEST(NDsmRecovery, ReclaimCompletedFaultRecordsNoService)
         EXPECT_NEAR(st.commUs.sum(), wait, 1e-6);
         d.soc->attachFaultInjector(nullptr);
     }
+}
+
+TEST(NDsmRecovery, ReclaimLeavesUntouchedPagesBorn)
+{
+    // Kernel 1's write to page 5 grows the page table over pages 0-4,
+    // which nobody touched. Reclaiming kernel 1 changes page 5 only.
+    for (const Dsm::Protocol proto : coherence::allProtocols()) {
+        for (const std::size_t n : {std::size_t{2}, std::size_t{3}}) {
+            SCOPED_TRACE(std::string(coherence::protocolName(proto)) +
+                         " n=" + std::to_string(n));
+            Domains d(n, 64, proto);
+            d.touch(1, 5);
+            const KernelIdx heir = n - 1 == 1 ? 0 : n - 1;
+            EXPECT_EQ(d.dsm->reclaimFrom(1, heir),
+                      std::vector<std::uint64_t>{5});
+            for (std::uint64_t page = 0; page < 5; ++page)
+                EXPECT_EQ(d.dsm->ownerOf(page), 0u);
+            EXPECT_EQ(d.dsm->ownerOf(5), heir);
+        }
+    }
+}
+
+TEST(NDsmRecovery, MainKernelIsNeverReclaimed)
+{
+    // Untouched pages stay born through a reclaim only while kernel 0
+    // lives, so reclaiming from it is a bug.
+    Domains d(2);
+    d.touch(1, 3);
+    EXPECT_DEATH(d.dsm->reclaimFrom(0, 1), "dead != 0");
 }
 
 TEST(NDsmRecovery, RetriesLostGrant)
