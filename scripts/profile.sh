@@ -28,6 +28,21 @@
 #
 # micro_sim's filtered benchmarks run with a generous min-time so the
 # samples come from steady state, not setup.
+#
+# gprof caveat: coroutine bodies are missing from its profiles. GCC
+# splits a coroutine into a ramp (the function's own symbol) and the
+# clones `<name>.actor` and `<name>.destroy`, and gprof's symbol reader
+# keeps no symbol with a dot in its name except the .clone./
+# .constprop./numeric suffixes. The clones' samples and call arcs fall
+# to the preceding kept symbol in address order: `nm -n -C` on the -pg
+# binary shows which. Example, a -pg k2perf episode-chain before
+# Core::exec/execTime became an awaitable: their actors followed
+# Core::ensureAwake()'s ramp, which showed 4 "calls" per busy period
+# (two actor resumes, the destroy, and the actor call the destroy
+# makes), and the Thread::sleep/yield/exec actors followed the
+# Thread::parkAs ramp. The ext2 mkfs and blockFor actors follow
+# Ext2Fs::snapState. Read a row next to coroutine clones as holding
+# their calls and self time too.
 
 set -euo pipefail
 

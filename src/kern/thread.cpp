@@ -108,15 +108,6 @@ Thread::reap()
     }
 }
 
-sim::Task<void>
-Thread::parkAs(State next)
-{
-    K2_ASSERT(state_ == State::Running);
-    state_ = next;
-    co_await park();
-    K2_ASSERT(state_ == State::Running);
-}
-
 bool
 Thread::shouldPark() const
 {
@@ -140,14 +131,6 @@ Thread::exec(std::uint64_t instructions)
     }
     if (shouldPark())
         co_await parkAs(State::Ready);
-}
-
-sim::Task<void>
-Thread::execTime(sim::Duration d)
-{
-    // Pure delegation: hand back the core's task itself instead of
-    // wrapping it in another coroutine frame per call.
-    return core().execTime(d);
 }
 
 sim::Task<void>

@@ -26,13 +26,10 @@
 #include "sim/engine.h"
 #include "sim/sync.h"
 #include "sim/task.h"
+#include "soc/core.h"
 #include "kern/types.h"
 
 namespace k2 {
-namespace soc {
-class Core;
-}
-
 namespace kern {
 
 class Kernel;
@@ -105,8 +102,9 @@ class Thread
      *  boundaries. */
     sim::Task<void> exec(std::uint64_t instructions);
 
-    /** Execute fixed-duration active work (device register IO). */
-    sim::Task<void> execTime(sim::Duration d);
+    /** Execute fixed-duration active work (device register IO).
+     *  This is the core's busy period itself: no quantum check. */
+    soc::Core::Busy execTime(sim::Duration d) { return core().execTime(d); }
 
     /** Block for a simulated duration without occupying the core. */
     sim::Task<void> sleep(sim::Duration d);
@@ -209,8 +207,34 @@ class Thread
     /** Top-level coroutine that wraps the body. */
     sim::Task<void> run();
 
-    /** Park with the given next state; scheduler requeues if Ready. */
-    sim::Task<void> parkAs(State next);
+    /** Park with the given next state; scheduler requeues if Ready.
+     *  The thread must be Running, and is again when resumed. */
+    auto
+    parkAs(State next)
+    {
+        struct Awaiter
+        {
+            Thread &t;
+            State next;
+
+            bool await_ready() const { return false; }
+
+            std::coroutine_handle<>
+            await_suspend(std::coroutine_handle<> h)
+            {
+                K2_ASSERT(t.state_ == State::Running);
+                t.state_ = next;
+                return t.park().await_suspend(h);
+            }
+
+            void
+            await_resume() const
+            {
+                K2_ASSERT(t.state_ == State::Running);
+            }
+        };
+        return Awaiter{*this, next};
+    }
 
     /** Detached helper: readies the thread when @p ev fires. */
     sim::Task<void> watchAndReady(sim::Event &ev);

@@ -95,8 +95,18 @@ Dsm::Page &
 Dsm::record(std::uint64_t page)
 {
     K2_ASSERT(page < numPages_);
+    const std::size_t n = kernels_.size();
     while (pages_.size() <= page) {
+        const std::uint64_t p = pages_.size();
+        if (p / kFaultChunkPages == faultChunks_.size())
+            faultChunks_.push_back(
+                std::make_unique<Fault[]>(kFaultChunkPages * n));
         Page &pg = pages_.emplace_back(soc_.engine());
+        // A chunk outlives a restore that drops its pages; re-growing
+        // them starts from fresh faults.
+        pg.faults = &faultChunks_[p / kFaultChunkPages]
+                                 [p % kFaultChunkPages * n];
+        std::fill_n(pg.faults, n, Fault{});
         if (dir_)
             pg.copies = dir_->born();
     }

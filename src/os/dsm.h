@@ -230,7 +230,7 @@ class Dsm
         bool demoted = false;
         coherence::Copies copies{}; //!< Invalidation protocols.
         coherence::RacPage rac;     //!< RAC.
-        std::array<Fault, coherence::kMaxKernels> faults{}; //!< By kernel.
+        Fault *faults = nullptr; //!< One per kernel (faultChunks_).
         sim::Event grant;   //!< Pulsed on PutExclusive.
         sim::Event settled; //!< Pulsed when a local fault fully
                             //!< completes.
@@ -287,6 +287,10 @@ class Dsm
     std::vector<FaultStats> stats_;
     std::vector<sim::TrackId> tracks_; //!< Per-kernel span tracks.
     std::deque<Page> pages_; //!< Indexed by page number.
+    /** The pages' fault slots, one per kernel, for kFaultChunkPages
+     *  pages a chunk: sized by the kernel count, never moved. */
+    static constexpr std::uint64_t kFaultChunkPages = 64;
+    std::vector<std::unique_ptr<Fault[]>> faultChunks_;
     sim::Counter messages_;
     sim::Counter demotions_;
     sim::Counter retries_;

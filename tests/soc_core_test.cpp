@@ -280,6 +280,73 @@ TEST_F(CoreTest, OverlappingExecsKeepCoreActive)
     EXPECT_EQ(core.activeTime(), sim::usec(1500));
 }
 
+TEST_F(CoreTest, BusyEndRunsBeforeCallerAndKeepsTieOrder)
+{
+    // Two busy periods end at the same T, with a plain event queued
+    // between them. Each ends inside its own event, in insertion order,
+    // and releases the core before its caller's next statement: the
+    // first caller still sees the second period's Active, the event
+    // between sees it too, and the second caller sees the core Idle.
+    Core core(eng, meter, rail, cfg.domains[kStrongDomain].core, costs,
+              0, 0);
+    const sim::Duration d = sim::usec(10);
+    std::vector<std::pair<int, PowerState>> seen;
+    eng.spawn([](Engine &eng, Core &core, sim::Duration d,
+                 std::vector<std::pair<int, PowerState>> *seen)
+                  -> Task<void> {
+        co_await core.execTime(d);
+        EXPECT_EQ(eng.now(), d);
+        seen->emplace_back(1, core.state());
+    }(eng, core, d, &seen));
+    eng.spawn([](Engine &eng, Core &core, sim::Duration d,
+                 std::vector<std::pair<int, PowerState>> *seen)
+                  -> Task<void> {
+        eng.at(d, [&core, seen]() { seen->emplace_back(2, core.state()); });
+        co_await core.execTime(d);
+        EXPECT_EQ(eng.now(), d);
+        seen->emplace_back(3, core.state());
+    }(eng, core, d, &seen));
+    eng.run(d);
+    const std::vector<std::pair<int, PowerState>> want = {
+        {1, PowerState::Active},
+        {2, PowerState::Active},
+        {3, PowerState::Idle},
+    };
+    EXPECT_EQ(seen, want);
+    EXPECT_EQ(core.activeTime(), d);
+}
+
+TEST_F(CoreTest, ZeroDurationExecTimeQueuesNoEvent)
+{
+    // A zero-length busy period queues no event and takes no time, but
+    // still passes through Active and re-arms the inactive timer: X,
+    // queued at the gating deadline before it, then runs ahead of the
+    // gate and sees the core Idle (the boot arm alone would gate first).
+    Core core(eng, meter, rail, cfg.domains[kStrongDomain].core, costs,
+              0, 0);
+    PowerState at_x = PowerState::Active;
+    bool checked = false;
+    eng.spawn([](Engine &eng, Core &core, sim::Time deadline,
+                 PowerState *x, bool *checked) -> Task<void> {
+        eng.at(deadline, [&core, x]() { *x = core.state(); });
+        const std::size_t pending = eng.pendingEvents();
+        const std::uint64_t dispatched = eng.eventsDispatched();
+        const sim::Time now = eng.now();
+        co_await core.execTime(0);
+        EXPECT_EQ(eng.pendingEvents(), pending);
+        EXPECT_EQ(eng.eventsDispatched(), dispatched);
+        EXPECT_EQ(eng.now(), now);
+        EXPECT_EQ(core.state(), PowerState::Idle);
+        *checked = true;
+    }(eng, core, costs.inactiveTimeout, &at_x, &checked));
+    eng.run();
+    EXPECT_TRUE(checked);
+    EXPECT_EQ(core.activeTime(), 0u);
+    EXPECT_EQ(at_x, PowerState::Idle);
+    EXPECT_EQ(core.state(), PowerState::Inactive);
+    EXPECT_EQ(eng.now(), costs.inactiveTimeout);
+}
+
 TEST_F(CoreTest, OperatingPointChangesSpeedAndPower)
 {
     // The strong core booted at its default (slowest) point, on a rail
