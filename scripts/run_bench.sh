@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Run the micro_sim google-benchmark suite and record the results as
-# BENCH_sim.json at the repo root. That file is the tracked host-side
-# performance baseline: future PRs compare their numbers against it
-# (scripts/compare_bench.py) and re-record it when they move the
-# needle.
+# BENCH_sim.json at the repo root. That file is the trajectory record
+# of host-side performance: a change that moves the needle re-records
+# it. It is not the gate: a change is gated by an interleaved A/B
+# against a build of its parent (scripts/check.sh --bench, which runs
+# scripts/compare_bench.py --ab), because a recording from another
+# host or day differs by more than a change does.
 #
 # Usage: scripts/run_bench.sh [build-dir] [-- extra micro_sim args]
 #
