@@ -57,9 +57,13 @@ Directory::targets(const Copies &e, std::size_t k, bool exclusive) const
 }
 
 RepOp
-Directory::downgrade(Copies &e, std::size_t t) const
+Directory::serve(Copies &e, std::size_t t, bool exclusive) const
 {
     const Copy s = e[t];
+    if (exclusive) {
+        e[t] = Copy::I;
+        return RepOp::GrantX;
+    }
     if (s == Copy::M)
         e[t] = kind_ == ProtocolKind::Moesi ? Copy::O : Copy::S;
     else if (s == Copy::E)
@@ -67,6 +71,17 @@ Directory::downgrade(Copies &e, std::size_t t) const
     return (s == Copy::I && kind_ != ProtocolKind::ThreeState)
         ? RepOp::GrantE
         : RepOp::GrantS;
+}
+
+Copy
+Directory::granted(RepOp op)
+{
+    switch (op) {
+      case RepOp::GrantS: return Copy::S;
+      case RepOp::GrantE: return Copy::E;
+      case RepOp::GrantX: return Copy::M;
+    }
+    K2_PANIC("unknown grant opcode %u", static_cast<unsigned>(op));
 }
 
 bool

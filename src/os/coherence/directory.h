@@ -12,7 +12,9 @@
  *
  * Directory holds no per-page storage: a page's copy states (Copies)
  * live in its os::Dsm page record, and Directory is the transition
- * rules over them; timing, mail and task structure stay with os::Dsm.
+ * rules over them -- every copy-state write (local write, serve,
+ * completion, reclaim) is one of its rules; timing, mail and task
+ * structure stay with os::Dsm.
  * Pages are born owned by kernel 0 (the main kernel on the strong
  * domain): M under the two/three-state protocols, clean E under
  * MESI/MOESI.
@@ -75,13 +77,33 @@ class Directory
     std::uint32_t targets(const Copies &e, std::size_t k,
                           bool exclusive) const;
 
+    /** A local write through @p k's copy, which permits it: E
+     *  upgrades silently to M (no messages, no cost). */
+    static void write(Copies &e, std::size_t k)
+    {
+        if (e[k] == Copy::E)
+            e[k] = Copy::M;
+    }
+
     /**
-     * Serve a read at holder @p t: M drops to S (MOESI: O); E drops to
-     * S; S, O and I keep their state. Returns the grant: E when no copy
-     * was valid at @p t (the requester will hold the only one, except
-     * under MSI, which has no E), else S.
+     * Serve a request at holder @p t. An exclusive request invalidates
+     * @p t's copy and grants X. A read downgrades it: M drops to S
+     * (MOESI: O); E drops to S; S, O and I keep their state. A read
+     * grants E when no copy was valid at @p t (the requester will hold
+     * the only one, except under MSI, which has no E), else S.
      */
-    RepOp downgrade(Copies &e, std::size_t t) const;
+    RepOp serve(Copies &e, std::size_t t, bool exclusive) const;
+
+    /** The copy state a grant gives its requester. */
+    static Copy granted(RepOp op);
+
+    /** Complete @p k's fault with the copy state it was granted: an
+     *  exclusive fault ends M whatever its grants said. */
+    static void complete(Copies &e, std::size_t k, bool exclusive,
+                         Copy grant)
+    {
+        e[k] = exclusive ? Copy::M : grant;
+    }
 
     /**
      * Crash recovery of one page: @p dead loses its copy. Unless the

@@ -79,6 +79,13 @@ class RacState
      *  needs @p k to be the writer, a read a fresh copy. */
     bool permits(std::size_t k, const RacPage &p, Access rw) const;
 
+    /** The kernels an acquire of @p p by @p k asks (bitmap): the
+     *  page's writer, or none if that is @p k itself. */
+    static std::uint32_t targets(std::size_t k, const RacPage &p)
+    {
+        return p.lastWriter == k ? 0 : 1u << p.lastWriter;
+    }
+
     /** Log a write to @p p by @p k, which becomes (or stays) its
      *  writer: bumps @p k's clock and log head, restamps the page. */
     void append(std::size_t k, RacPage &p);

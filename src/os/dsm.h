@@ -15,15 +15,25 @@
  * interrupt handlers cannot sleep) until PutExclusive arrives; the
  * holder flushes and invalidates the page from its cache before
  * granting. Every protocol of the zoo (coherence::ProtocolKind) runs on
- * the same fault path:
+ * one fault path (access: translate, serialise, local check, entry,
+ * protocol, ask, await grant, exit, complete, record) and one service
+ * path (service: defer, serialise, serve, grant):
  *
- *  - two-state, MSI, MESI, MOESI: per-kernel copy states in a
- *    coherence::Directory. A read asks the page's owner, an exclusive
- *    request asks every other holder, and each asked kernel services
- *    and grants straight back -- requests go to the holders, never
- *    broadcast. With two kernels that is always the peer.
+ *  - two-state, MSI, MESI, MOESI: per-kernel copy states under
+ *    coherence::Directory's rules. A read asks the page's owner, an
+ *    exclusive request asks every other holder, and each asked kernel
+ *    services and grants straight back -- requests go to the holders,
+ *    never broadcast. With two kernels that is always the peer.
  *  - RAC: log-based release-acquire against the page's last writer
  *    (coherence::RacState).
+ *
+ * Each difference between them is one decision at a named step of
+ * that sequence, not a second sequence: the local hit's write (silent
+ * E->M upgrade vs owner-write log append), the demotion (none under
+ * RAC), the ask's targets and opcode, the RAC log drain, the exit's
+ * protection update, the serve's cost and grant, and the completion
+ * rule. The rules own every state change: Dsm writes no copy state
+ * itself, and RacState stamps every RAC write.
  *
  * Every protocol speaks one wire format. A request is
  * coherence::packOp(GetS|GetX|Acq, page) on MsgType::GetExclusive, a
@@ -238,7 +248,8 @@ class Dsm
 
     /** @p page's record, growing the table to it on first touch. */
     Page &record(std::uint64_t page);
-    KernelIdx idxOf(const kern::Kernel &k) const;
+    /** The kernel on domain @p d (idx_); panics if there is none. */
+    KernelIdx idxOf(soc::DomainId d) const;
     std::uint32_t faulting(const Page &pg) const;
     /** Faults on one page serialise across kernels (RAC acquires
      *  always; invalidation faults beyond two kernels). */
@@ -248,11 +259,11 @@ class Dsm
     /** Mail @p payload (coherence::packOp) from @p from to @p to. */
     void send(KernelIdx from, KernelIdx to, MsgType type,
               std::uint32_t payload);
-    /** Send @p k's GetS (GetX if @p exclusive) to the kernels
-     *  Directory::targets names and await a grant from each. */
-    void askHolders(KernelIdx k, std::uint64_t page, bool exclusive);
-    /** RAC: send @p k's Acq to the page's last writer @p w. */
-    void askWriter(KernelIdx k, KernelIdx w, std::uint64_t page);
+    /** Send @p k's request for @p page to the kernels the protocol's
+     *  rules name (Directory::targets: a GetS, or a GetX if
+     *  @p exclusive; RacState::targets: an Acq), and await a grant
+     *  from each. */
+    void ask(Page &pg, KernelIdx k, std::uint64_t page, bool exclusive);
     soc::Core &serviceCore(KernelIdx k);
     sim::Task<void> bottomHalf(KernelIdx k);
     sim::Task<void> awaitGrant(Page &pg, KernelIdx k,
@@ -262,23 +273,15 @@ class Dsm
     void recordFault(KernelIdx k, const Fault &f, sim::Time t0,
                      sim::Time t1, sim::Time t2, sim::Time t3,
                      sim::Time t4);
-
-    /** @name Invalidation protocols (two-state, MSI, MESI, MOESI). @{ */
-    sim::Task<void> accessCopy(KernelIdx k, soc::Core &core,
-                               std::uint64_t page, Access rw);
-    sim::Task<void> serviceGet(KernelIdx t, KernelIdx req,
-                               std::uint64_t page, bool exclusive);
-    /** @} */
-
-    /** @name Release-acquire (RAC). @{ */
-    sim::Task<void> accessRac(KernelIdx k, soc::Core &core,
-                              std::uint64_t page, Access rw);
-    sim::Task<void> serviceAcquire(KernelIdx writer, KernelIdx req,
-                                   std::uint64_t page);
-    /** @} */
+    /** Serve @p req's request @p op for @p page at kernel @p t and
+     *  grant it. */
+    sim::Task<void> service(KernelIdx t, KernelIdx req,
+                            std::uint64_t page, coherence::ReqOp op);
 
     soc::Soc &soc_;
     std::vector<kern::Kernel *> kernels_;
+    /** Kernel index by domain id (kernels_.size() where none). */
+    std::vector<KernelIdx> idx_;
     Protocol kind_;
     std::uint64_t numPages_;
     std::uint64_t nextRegionPage_ = 0;
