@@ -590,6 +590,52 @@ TEST(NDsmRecovery, ReclaimCompletedFaultRecordsNoService)
     }
 }
 
+TEST(NDsmRecovery, ReclaimedReadFaultLeavesSurvivorWritable)
+{
+    // Kernel 1 writes a page and crashes; kernel 0's read fault on it
+    // is stranded until the reclaim completes it. The reclaim makes
+    // kernel 0 the page's sole holder, so the completed fault must
+    // leave it write-valid: its next write must not ask the dead
+    // kernel and stall on retries until the revive.
+    for (const Dsm::Protocol proto : coherence::allProtocols()) {
+        SCOPED_TRACE(coherence::protocolName(proto));
+        Domains d(2, 64, proto);
+        d.touch(1, 8);
+        fault::FaultPlan plan;
+        fault::FaultSpec crash;
+        crash.kind = fault::FaultKind::DomainCrash;
+        crash.domain = 1;
+        crash.at = d.eng.now();
+        plan.add(crash);
+        fault::FaultInjector inj(d.eng, plan);
+        d.soc->attachFaultInjector(&inj);
+        d.dsm->setRetryPolicy({sim::usec(100), sim::msec(4)});
+
+        bool done[2] = {false, false}; // The read, then the write.
+        auto access = [&](Access rw, bool &flag) {
+            d.kernels[0]->spawnThread(
+                d.proc.get(), "a", ThreadKind::Normal,
+                [&d, rw, &flag](Thread &t) -> Task<void> {
+                    co_await d.dsm->access(t.kernel(), t.core(), 8, rw);
+                    flag = true;
+                });
+        };
+        access(Access::Read, done[0]);
+        d.eng.run(d.eng.now() + sim::msec(1));
+        ASSERT_FALSE(done[0]); // Its request was lost with kernel 1.
+
+        d.dsm->reclaimFrom(1, 0);
+        d.eng.run(d.eng.now() + sim::msec(1));
+        ASSERT_TRUE(done[0]);
+        EXPECT_TRUE(d.dsm->isLocallyValid(0, 8, Access::Write));
+
+        access(Access::Write, done[1]);
+        d.eng.run(d.eng.now() + sim::msec(20));
+        EXPECT_TRUE(done[1]);
+        d.soc->attachFaultInjector(nullptr);
+    }
+}
+
 TEST(NDsmRecovery, ReclaimLeavesUntouchedPagesBorn)
 {
     // Kernel 1's write to page 5 grows the page table over pages 0-4,
