@@ -15,8 +15,10 @@
  *    coherence/directory.h) and the release-acquire logs and clocks
  *    (coherence/rac.h). Neither keeps per-page state: each page's
  *    copy states and RAC writer stamp sit in one record of the one
- *    DSM engine, os::Dsm, which also owns timing, mail and task
- *    structure and runs every protocol at any kernel count.
+ *    DSM engine, os::Dsm. Dsm is the timed interpreter: one fault
+ *    path and one service path for every protocol at any kernel
+ *    count, which charge time, send mail and ask these rules at each
+ *    decision; every state change is one of the rules.
  *
  * Message encoding: every protocol carries a 3-bit opcode in the
  * payload's top bits and the page in the remaining 17 (packOp below),
