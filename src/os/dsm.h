@@ -83,6 +83,7 @@
 #include "os/coherence/directory.h"
 #include "os/coherence/protocol.h"
 #include "os/coherence/rac.h"
+#include "os/kernel_mail.h"
 #include "os/messages.h"
 #include "os/retry.h"
 #include "os/system.h"
@@ -248,8 +249,6 @@ class Dsm
 
     /** @p page's record, growing the table to it on first touch. */
     Page &record(std::uint64_t page);
-    /** The kernel on domain @p d (idx_); panics if there is none. */
-    KernelIdx idxOf(soc::DomainId d) const;
     std::uint32_t faulting(const Page &pg) const;
     /** Faults on one page serialise across kernels (RAC acquires
      *  always; invalidation faults beyond two kernels). */
@@ -280,8 +279,7 @@ class Dsm
 
     soc::Soc &soc_;
     std::vector<kern::Kernel *> kernels_;
-    /** Kernel index by domain id (kernels_.size() where none). */
-    std::vector<KernelIdx> idx_;
+    KernelIndex idx_;
     Protocol kind_;
     std::uint64_t numPages_;
     std::uint64_t nextRegionPage_ = 0;
