@@ -16,9 +16,9 @@
  *
  *  2. shadow-domain crash: one crash mid-run per workload (plus
  *     background mail drops at the acceptance scenario's p=1e-3);
- *     reports the efficiency hit plus the watchdog's detection and
- *     restart latencies and the re-owned DSM pages / replayed
- *     services.
+ *     reports the efficiency hit plus the replica group's crash
+ *     detection and restart latencies and the re-owned DSM pages /
+ *     replayed services.
  *
  *  3. replication degree x crash: N in {1, 2, 3} shadow replicas, with
  *     and without the crash. A probe pump spawns one shadowed request
@@ -145,7 +145,8 @@ mixAtRate(double r)
  * recovery runs under the acceptance scenario's fault load. t=12s sits
  * in the idle tail after the first measured episode; the main-domain
  * episode that follows trips over the dead shadow and triggers the
- * watchdog (detect latency therefore reads as time-to-first-evidence).
+ * replica group's heartbeat probe (detect latency therefore reads as
+ * time-to-first-evidence).
  */
 fault::FaultPlan
 crashPlan()

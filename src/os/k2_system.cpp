@@ -148,13 +148,11 @@ K2System::K2System(K2Config cfg)
     // The paper's one shadow kernel is a group of one: same recovery
     // path as any replication degree, with no vote traffic.
     group_ = std::make_unique<ReplicaGroup>(*soc_, allKernels, *dsm_,
-                                            *irqRouter_);
+                                            *irqRouter_, injector_.get());
 
     if (armed) {
-        watchdog_ = std::make_unique<Watchdog>(
-            *soc_, main, *group_, *irqRouter_, injector_.get());
         // Repeated retransmission without an ack on any channel is the
-        // watchdog's crash-suspicion signal. Shadow->main silence also
+        // group's crash-suspicion signal. Shadow->main silence also
         // counts: in the simulation a crashed domain's threads keep
         // executing (the crash is fail-silent at the communication
         // boundary), and their failing sends stand in for the keepalive
@@ -164,7 +162,7 @@ K2System::K2System(K2Config cfg)
         reliable_->setSuspectHook([this](KernelIdx from, KernelIdx to) {
             const KernelIdx weak = (to != 0) ? to : from;
             if (weak != 0)
-                watchdog_->suspect(weak - 1);
+                group_->suspect(weak - 1);
         });
     }
 
@@ -395,10 +393,7 @@ K2System::registerMetrics(obs::MetricsRegistry &reg)
         injector_->registerMetrics(reg, "fault.injected");
     if (reliable_)
         reliable_->registerMetrics(reg, "os.recovery.mail");
-    if (watchdog_)
-        watchdog_->registerMetrics(reg, "os.recovery");
-    if (group_->numReplicas() > 1)
-        group_->registerMetrics(reg, "os.replica");
+    group_->registerMetrics(reg);
 }
 
 void
@@ -430,9 +425,6 @@ K2System::snapState(snap::Io &io)
     io.check(reliable_ ? 1 : 0, "K2System::reliable");
     if (reliable_)
         reliable_->snapState(io);
-    io.check(watchdog_ ? 1 : 0, "K2System::watchdog");
-    if (watchdog_)
-        watchdog_->snapState(io);
     group_->snapState(io);
 }
 
@@ -465,9 +457,6 @@ K2System::dispatchMail(KernelIdx to, soc::Mail mail, soc::Core &core)
             co_return; // Handled by the reliable-mail shim above.
           case CtlOp::Heartbeat:
           case CtlOp::HeartbeatAck:
-            K2_ASSERT(watchdog_);
-            co_await watchdog_->handleMail(to, msg, core);
-            co_return;
           case CtlOp::ReplicaReq:
           case CtlOp::ReplicaRep:
           case CtlOp::Election:

@@ -36,7 +36,6 @@
 #include "os/reliable_mail.h"
 #include "os/replica.h"
 #include "os/system.h"
-#include "os/watchdog.h"
 
 namespace k2 {
 
@@ -130,7 +129,6 @@ class K2System : public SystemImage
     bool recoveryArmed() const { return reliable_ != nullptr; }
     fault::FaultInjector *faultInjector() { return injector_.get(); }
     ReliableMail *reliableMail() { return reliable_.get(); }
-    Watchdog *watchdog() { return watchdog_.get(); }
     /** Configured replication degree (1 = unreplicated). */
     std::size_t replicas() const { return kernels_.size() - 1; }
     /** @} */
@@ -168,7 +166,6 @@ class K2System : public SystemImage
     std::unique_ptr<IoMapper> ioMapper_;
     std::unique_ptr<ReliableMail> reliable_;
     std::unique_ptr<ReplicaGroup> group_;
-    std::unique_ptr<Watchdog> watchdog_;
     kern::ServiceRegistry services_;
     sim::Counter remoteFrees_;
 };

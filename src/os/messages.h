@@ -47,8 +47,12 @@ enum class CtlOp : std::uint32_t
     MapCreate = 1,    //!< §6.1: peer created a temporary IO mapping.
     MapDestroy = 2,   //!< §6.1: peer destroyed a temporary IO mapping.
     MailAck = 3,      //!< Reliable-mail ack (operand = acked seq).
-    Heartbeat = 4,    //!< Watchdog liveness probe (operand = nonce).
-    HeartbeatAck = 5, //!< Watchdog probe reply (operand = nonce).
+    Heartbeat = 4,    //!< Replica group: liveness probe of a
+                      //!< suspected replica (operand = nonce).
+                      //!< Untracked.
+    HeartbeatAck = 5, //!< Replica group: probe reply from the
+                      //!< replica's ISR (operand = the probe's
+                      //!< nonce). Untracked.
     ReplicaReq = 6,   //!< Replica group: shadowed-request fan-out
                       //!< (operand = vote nonce). ARQ-tracked.
     ReplicaRep = 7,   //!< Replica group: reply digest (operand =

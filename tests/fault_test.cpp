@@ -1,8 +1,8 @@
 /**
  * @file
  * Fault plane and recovery-protocol tests: plan parsing, injector
- * determinism, the zero-fault bit-identity guard, the ARQ and watchdog
- * recovery units, crash recovery end to end, seeded fuzz runs
+ * determinism, the zero-fault bit-identity guard, the ARQ and crash
+ * detection units, crash recovery end to end, seeded fuzz runs
  * asserting data integrity under random fault plans, and sweep
  * determinism of faulted cells across job counts.
  */
@@ -402,8 +402,8 @@ TEST(Recovery, WatchdogDetectsCrashAndRestartsShadow)
             co_await t.sleep(sim::msec(25));
             // First touch of shadow-owned pages after the crash: the
             // GetExclusive mail is dropped by the dead domain, the ARQ
-            // goes silent, the watchdog probes and recovers -- and this
-            // read must still return the right bytes.
+            // goes silent, the replica group probes and recovers -- and
+            // this read must still return the right bytes.
             co_await verifyFile(tb, t, "/crashed", data);
         });
     // A NightWatch spawn during the down window must be served
@@ -414,10 +414,10 @@ TEST(Recovery, WatchdogDetectsCrashAndRestartsShadow)
         tb.proc(), "poll", [&](Thread &t) -> Task<void> {
             const sim::Time limit =
                 t.kernel().engine().now() + sim::msec(200);
-            while (!tb.k2()->watchdog()->replicaDown(0) &&
+            while (!tb.k2()->replicaGroup()->replicaDown(0) &&
                    t.kernel().engine().now() < limit)
                 co_await t.sleep(sim::usec(250));
-            if (!tb.k2()->watchdog()->replicaDown(0))
+            if (!tb.k2()->replicaGroup()->replicaDown(0))
                 co_return;
             saw_down = true;
             tb.sys().spawnNightWatch(tb.proc(), "degraded",
@@ -428,7 +428,7 @@ TEST(Recovery, WatchdogDetectsCrashAndRestartsShadow)
         });
     tb.engine().run();
 
-    os::Watchdog *wd = tb.k2()->watchdog();
+    os::ReplicaGroup *wd = tb.k2()->replicaGroup();
     ASSERT_NE(wd, nullptr);
     EXPECT_EQ(wd->crashesDetected(), 1u);
     EXPECT_EQ(wd->restarts(), 1u);
@@ -479,12 +479,12 @@ TEST(Recovery, UnownedHeartbeatAckDoesNotMaskCrash)
                              co_await verifyFile(tb, t, "/stale-ack",
                                                  data);
                          });
-    // Once the first heartbeat is out, feed the watchdog an ack with a
+    // Once the first heartbeat is out, feed the group an ack with a
     // nonce no probe owns, every 250 us until the crash is declared.
     int injected = 0;
     tb.sys().spawnNormal(
         tb.proc(), "stale-acker", [&](Thread &t) -> Task<void> {
-            os::Watchdog &wd = *tb.k2()->watchdog();
+            os::ReplicaGroup &wd = *tb.k2()->replicaGroup();
             const sim::Time limit =
                 t.kernel().engine().now() + sim::msec(200);
             while (t.kernel().engine().now() < limit &&
@@ -493,11 +493,13 @@ TEST(Recovery, UnownedHeartbeatAckDoesNotMaskCrash)
                     0) {
                     co_await wd.handleMail(
                         0,
-                        os::decodeMessage(os::encodeMessage(
-                            os::MsgType::Control,
-                            os::encodeCtl(os::CtlOp::HeartbeatAck,
+                        soc::Mail{soc::kWeakDomain,
+                                  os::encodeMessage(
+                                      os::MsgType::Control,
+                                      os::encodeCtl(
+                                          os::CtlOp::HeartbeatAck,
                                           0xFFFF),
-                            0)),
+                                      0)},
                         t.kernel().domain().core(0));
                     ++injected;
                 }
@@ -506,7 +508,7 @@ TEST(Recovery, UnownedHeartbeatAckDoesNotMaskCrash)
         });
     tb.engine().run();
 
-    os::Watchdog *wd = tb.k2()->watchdog();
+    os::ReplicaGroup *wd = tb.k2()->replicaGroup();
     EXPECT_GE(injected, 1);
     EXPECT_EQ(wd->falseAlarms(), 0u);
     EXPECT_EQ(wd->crashesDetected(), 1u);
@@ -595,7 +597,7 @@ TEST(FaultFuzz, DataIntactUnderRandomPlans)
 
         EXPECT_EQ(tb.k2()->reliableMail()->giveups(), 0u);
         if (seed % 2) {
-            EXPECT_EQ(tb.k2()->watchdog()->crashesDetected(), 1u);
+            EXPECT_EQ(tb.k2()->replicaGroup()->crashesDetected(), 1u);
         }
     }
 }
